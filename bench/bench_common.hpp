@@ -115,6 +115,28 @@ class Runner {
     return out;
   }
 
+  /// Interleaved A/B measurement: one warmup pass of each, then `reps()`
+  /// rounds of one timed `a()` followed by one timed `b()`, so a slow
+  /// host episode lands on both sides instead of skewing one. Returns
+  /// seconds per pass for every round, scaled like measure().
+  template <class A, class B>
+  std::pair<std::vector<double>, std::vector<double>> measure_ab(A&& a,
+                                                                 B&& b) {
+    const double perturb = benchjson::perturb_factor();
+    a();
+    b();
+    std::pair<std::vector<double>, std::vector<double>> out;
+    for (int r = 0; r < reps_; ++r) {
+      Timer ta;
+      a();
+      out.first.push_back(ta.elapsed() * perturb);
+      Timer tb;
+      b();
+      out.second.push_back(tb.elapsed() * perturb);
+    }
+    return out;
+  }
+
   /// Records already-computed samples (e.g. GB/s derived from measured
   /// seconds, or deterministic model outputs) and returns their median.
   double record(const std::string& name, const std::string& unit,

@@ -6,7 +6,10 @@
 // (faults targeting ranks that never send), and FAILS (non-zero exit) if
 //   * the inactive on_send/on_step hook exceeds its 5 ns budget, or
 //   * the hooked send/recv round-trip regresses by more than 25% against
-//     the same loop re-measured with the plan cleared.
+//     the same loop with the plan cleared. The two ping-pongs run as
+//     interleaved A/B repetitions and the regression must also pass
+//     bwbench's noise rule (disjoint median ± 3·MAD intervals, as in
+//     bench_compare), so one noisy median cannot fail the gate.
 // Timing/recording goes through bench::Runner (same warmup/repetition
 // policy and median statistic as every other gb_* bench); --bench-json
 // emits the BENCH_*.json trajectory.
@@ -68,28 +71,42 @@ int main(int argc, char** argv) {
       });
 
   // Per-message cost: each measured repetition is one full ping-pong run
-  // (2 * kMsgs messages), converted to ns per message below.
-  std::vector<double> base_s = run.measure(1, [] { pingpong(kMsgs); });
-  for (double& s : base_s) s = s * 1e9 / (2.0 * kMsgs);
-  const double base_ns = run.record("pingpong.no_plan", "ns",
-                                    benchjson::Better::Lower, base_s);
-
-  // Inert plan: entries target rank 3 of a 2-rank run, so the hook takes
-  // its slow path bookkeeping decision but never fires.
-  fault::install(fault::FaultPlan::parse("drop:rank=3,msg=0", 7));
-  std::vector<double> hooked_s = run.measure(1, [] { pingpong(kMsgs); });
-  for (double& s : hooked_s) s = s * 1e9 / (2.0 * kMsgs);
-  const double hooked_ns = run.record("pingpong.inert_plan", "ns",
-                                      benchjson::Better::Lower, hooked_s);
-  fault::clear();
+  // (2 * kMsgs messages), converted to ns per message below. No plan (A)
+  // and the inert plan (B) alternate. The inert plan's entries target
+  // rank 3 of a 2-rank run, so the hook takes its slow path bookkeeping
+  // decision but never fires.
+  auto [base_s, hooked_s] = run.measure_ab(
+      [] {
+        fault::clear();
+        pingpong(kMsgs);
+      },
+      [] {
+        fault::install(fault::FaultPlan::parse("drop:rank=3,msg=0", 7));
+        pingpong(kMsgs);
+        fault::clear();
+      });
+  for (std::vector<double>* v : {&base_s, &hooked_s})
+    for (double& s : *v) s = s * 1e9 / (2.0 * kMsgs);
+  const benchjson::Metric base{"pingpong.no_plan", "ns",
+                               benchjson::Better::Lower, base_s};
+  const benchjson::Metric hooked{"pingpong.inert_plan", "ns",
+                                 benchjson::Better::Lower, hooked_s};
+  for (const benchjson::Metric* m : {&base, &hooked})
+    run.record(m->name, m->unit, m->better, m->samples);
+  benchjson::GateOptions gate;
+  gate.threshold = kSendRegressionBudget - 1.0;
+  const benchjson::MetricDelta pp =
+      benchjson::compare_metric("gb_fault_overhead", base, hooked, gate);
 
   std::printf("fault on_send hook, no plan: %.3f ns (budget %.1f ns)\n",
               send_hook_ns, kHookBudgetNs);
   std::printf("fault on_step hook, no plan: %.3f ns (budget %.1f ns)\n",
               step_hook_ns, kHookBudgetNs);
-  std::printf("send/recv ping-pong: %.1f ns no plan, %.1f ns inert plan "
-              "(budget %.0f%%)\n",
-              base_ns, hooked_ns, (kSendRegressionBudget - 1.0) * 100.0);
+  std::printf("send/recv ping-pong (median ± MAD): %.1f ± %.1f ns no plan, "
+              "%.1f ± %.1f ns inert plan (budget %.0f%%, gate %s)\n",
+              pp.base_median, pp.base_mad, pp.cand_median, pp.cand_mad,
+              (kSendRegressionBudget - 1.0) * 100.0,
+              benchjson::to_string(pp.verdict));
   run.finish();
 
   bool ok = true;
@@ -99,12 +116,14 @@ int main(int argc, char** argv) {
     ok = false;
   }
   // Thread scheduling makes single ping-pong timings noisy; compare
-  // median to median with a generous bound — this is a regression trip
-  // wire for accidental locking on the no-fault path, not a profiler.
-  if (hooked_ns > base_ns * kSendRegressionBudget + 200.0) {
+  // median to median with a generous bound, and only where the noise
+  // intervals separate — this is a regression trip wire for accidental
+  // locking on the no-fault path, not a profiler.
+  if (pp.verdict == benchjson::Verdict::Regressed &&
+      pp.cand_median > pp.base_median * kSendRegressionBudget + 200.0) {
     std::fprintf(stderr,
                  "FAIL: inert fault plan slowed send/recv %.1f -> %.1f ns\n",
-                 base_ns, hooked_ns);
+                 pp.base_median, pp.cand_median);
     ok = false;
   }
   if (!ok) return EXIT_FAILURE;

@@ -16,6 +16,10 @@
 
 namespace bwlab::apps::clover2d {
 
+/// Halo depth of every field in tiled mode: exactly the step chain's
+/// TilingRecord::needed_depth (eager mode uses 2).
+constexpr int kTiledHaloDepth = 13;
+
 /// Runs the solver; Options::tiled routes the main Lagrangian chain
 /// through the OPS tiling executor (Figure 9).
 Result run(const Options& opt);

@@ -414,8 +414,7 @@ Result run(const Options& opt) {
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
-    // Tiled chains need halo depth >= the chain's accumulated radius.
-    const int depth = opt.tiled ? 16 : 2;
+    const int depth = opt.tiled ? kTiledHaloDepth : 2;
     if (opt.tile_cache_bytes > 0)
       ctx->set_tile_cache_bytes(opt.tile_cache_bytes);
     Solver s(*ctx, opt.n, depth);

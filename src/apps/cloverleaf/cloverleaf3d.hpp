@@ -10,6 +10,10 @@
 
 namespace bwlab::apps::clover3d {
 
+/// Halo depth of every field in tiled mode: exactly the step chain's
+/// TilingRecord::needed_depth (eager mode uses 2).
+constexpr int kTiledHaloDepth = 16;
+
 Result run(const Options& opt);
 
 }  // namespace bwlab::apps::clover3d

@@ -371,9 +371,7 @@ Result run(const Options& opt, Variant variant) {
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
-    // Tiled chains need halo depth >= the chain's accumulated radius
-    // (the SA stage chain accumulates 10: five radius-2 divergences).
-    const int depth = opt.tiled ? 12 : 2;
+    const int depth = opt.tiled ? tiled_halo_depth(variant) : 2;
     if (opt.tile_cache_bytes > 0)
       ctx->set_tile_cache_bytes(opt.tile_cache_bytes);
     Solver s(*ctx, opt.n, variant, depth);

@@ -21,6 +21,14 @@ namespace bwlab::apps::opensbli {
 
 enum class Variant { StoreAll, StoreNone };
 
+/// Halo depth of every field in tiled mode: exactly the RK-stage chain's
+/// TilingRecord::needed_depth, which differs per variant (SA's stored
+/// fluxes add a chain level that SN's fused kernel does not; eager mode
+/// uses 2).
+constexpr int tiled_halo_depth(Variant v) {
+  return v == Variant::StoreAll ? 11 : 4;
+}
+
 Result run(const Options& opt, Variant variant);
 
 }  // namespace bwlab::apps::opensbli

@@ -444,8 +444,10 @@ bool intervals_overlap(double m1, double d1, double m2, double d2, double k) {
   return lo1 <= hi2 && lo2 <= hi1;
 }
 
-MetricDelta join(const std::string& suite, const Metric& base,
-                 const Metric& cand, const GateOptions& opt) {
+}  // namespace
+
+MetricDelta compare_metric(const std::string& suite, const Metric& base,
+                           const Metric& cand, const GateOptions& opt) {
   MetricDelta d;
   d.suite = suite;
   d.name = base.name;
@@ -471,8 +473,6 @@ MetricDelta join(const std::string& suite, const Metric& base,
     d.verdict = Verdict::Ok;
   return d;
 }
-
-}  // namespace
 
 std::vector<std::string> CompareReport::failed_metrics() const {
   std::vector<std::string> out;
@@ -502,7 +502,7 @@ CompareReport compare(const ResultFile& baseline, const ResultFile& candidate,
         r.rows.push_back(std::move(d));
         continue;
       }
-      MetricDelta d = join(bs.suite, bm, *cm, opt);
+      MetricDelta d = compare_metric(bs.suite, bm, *cm, opt);
       if (d.verdict == Verdict::Regressed) ++r.regressions;
       if (d.verdict == Verdict::Improved) ++r.improvements;
       r.rows.push_back(std::move(d));

@@ -145,6 +145,12 @@ struct CompareReport {
   std::vector<std::string> failed_metrics() const;
 };
 
+/// The gate on one metric pair: a regression needs the median beyond
+/// `threshold` in the worse direction AND disjoint [median ± mad_k·MAD]
+/// intervals (Verdict Ok, Improved or Regressed).
+MetricDelta compare_metric(const std::string& suite, const Metric& base,
+                           const Metric& cand, const GateOptions& opt = {});
+
 /// Joins metrics on (suite, name) and applies the gate: a metric
 /// regresses when its median moved beyond `threshold` in the worse
 /// direction AND the [median ± mad_k·MAD] intervals of baseline and

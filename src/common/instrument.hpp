@@ -86,6 +86,9 @@ struct TilingRecord {
   count_t chains = 0;       ///< execute_tiled calls
   count_t tiles = 0;        ///< tiles executed across all chains
   idx_t tile_height = 0;    ///< height used by the most recent chain
+  /// Deepest halo any chain needed (sigma_0 + r_0, the skew extension
+  /// plus the first loop's reads); apps size tiled dats' halos to it.
+  int needed_depth = 0;
   bool auto_tuned = false;  ///< last height came from the auto-tuner
   double row_bytes = 0;     ///< working-set bytes per tile row (auto only)
   double cache_budget_bytes = 0;  ///< budget the tuner sized against

@@ -13,50 +13,6 @@ namespace bwlab::ops {
 
 namespace {
 
-/// The dimension a tile sub-range is split over across the thread team:
-/// the innermost non-tiled dimension with a splittable extent (ties go to
-/// the innermost). Returns -1 when nothing is worth splitting.
-int pick_parallel_dim(const Range& r, int outer_dim) {
-  int best = -1;
-  idx_t best_n = 1;
-  for (int d = 0; d < outer_dim; ++d) {
-    const idx_t n = r.extent(d);
-    if (n > best_n) {
-      best = d;
-      best_n = n;
-    }
-  }
-  return best;
-}
-
-/// Runs `body` over `r`, split across the team along pick_parallel_dim.
-/// Chunks are a few times smaller than a static share so the dynamic
-/// schedule can rebalance the uneven pieces of skewed tile edges; writes
-/// are per-point, so any partition is bitwise identical to body(r).
-void execute_range_team(par::ThreadPool* pool, const Range& r, int outer_dim,
-                        const std::function<void(const Range&)>& body) {
-  const int team = pool != nullptr ? pool->size() : 1;
-  const int pdim = team > 1 ? pick_parallel_dim(r, outer_dim) : -1;
-  if (pdim < 0) {
-    body(r);
-    return;
-  }
-  const auto ps = static_cast<std::size_t>(pdim);
-  const idx_t lo = r.lo[ps], hi = r.hi[ps], n = hi - lo;
-  const idx_t chunk =
-      std::max<idx_t>(8, n / (static_cast<idx_t>(team) * 4));
-  const idx_t nchunks = (n + chunk - 1) / chunk;
-  pool->parallel_for(
-      0, nchunks,
-      [&](idx_t ci) {
-        Range sub = r;
-        sub.lo[ps] = lo + ci * chunk;
-        sub.hi[ps] = std::min(hi, sub.lo[ps] + chunk);
-        body(sub);
-      },
-      par::Schedule::Dynamic, 1);
-}
-
 // --- bwmem exact data-movement recording (chain executor) ------------------
 // Chain bytes are counted ONCE per chain over the extended local ranges
 // ext[i] — fixed by the skew analysis, independent of tile height and
@@ -64,6 +20,19 @@ void execute_range_team(par::ThreadPool* pool, const Range& r, int outer_dim,
 // touches happen per executed (tile, loop, use) on the calling thread,
 // with the touch's own moved bytes as its resident footprint, so tiling
 // shortens stack distances exactly as it shortens real reuse distances.
+
+/// Dependence radius of read `u` in a loop executing `local`: its stencil
+/// radius, widened where the loop runs past the dat's exec range in the
+/// outer dimension. That happens only at the physical high edge (a
+/// node-range loop reading a cell-centred dat), where a mirror BC folds
+/// ghost row exec_hi + m onto interior row exec_hi - 1 - m: the read at
+/// row exec_hi + e - 1 then reaches 2e - 1 rows further down than its
+/// radius.
+int dep_radius(const ChainDatUse& u, const Range& local, int outer_dim) {
+  const auto od = static_cast<std::size_t>(outer_dim);
+  const idx_t e = local.hi[od] - u.exec_hi[od];
+  return u.read_radius + (e > 0 ? static_cast<int>(2 * e - 1) : 0);
+}
 
 count_t use_read_bytes(const ChainDatUse& u, const Range& r, int ndims) {
   count_t pts = 1;
@@ -223,8 +192,26 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
   trace::TraceSpan chain_span(trace::Cat::Region, "chain.tiled");
   const int n = static_cast<int>(loops_.size());
 
+  const std::array<bool, 3> wrap = chain_periodicity();
+  int outer_dim = 0;
+  for (const ChainLoop& l : loops_)
+    outer_dim = std::max(outer_dim, l.block->ndims() - 1);
+
+  // Dependence radius of every read (dep_radius), and per loop the
+  // largest of them.
+  std::vector<std::vector<int>> dep(static_cast<std::size_t>(n));
+  std::vector<int> loop_dep(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    const auto is = static_cast<std::size_t>(i);
+    const Range local = extended_local_range(loops_[is], 0, wrap);
+    for (const ChainDatUse& u : loops_[is].uses) {
+      dep[is].push_back(u.is_read ? dep_radius(u, local, outer_dim) : 0);
+      loop_dep[is] = std::max(loop_dep[is], dep[is].back());
+    }
+  }
+
   // Skew offsets, built backwards from the last loop. Two dependence
-  // families bound sigma_i from below:
+  // families bound sigma_i from below (r: dependence radii):
   //   RAW  — loop j > i reads what i wrote with radius r_j: the chain sum
   //          sigma_i >= sigma_{i+1} + r_{i+1} telescopes to
   //          sigma_i - sigma_j >= r_j for every downstream reader.
@@ -236,13 +223,15 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
   std::vector<int> sigma(static_cast<std::size_t>(n), 0);
   for (int i = n - 2; i >= 0; --i) {
     const auto is = static_cast<std::size_t>(i);
-    int s = sigma[is + 1] + loops_[is + 1].read_radius;
+    int s = sigma[is + 1] + loop_dep[is + 1];
     for (int j = i + 1; j < n; ++j)
       for (const ChainDatUse& w : loops_[static_cast<std::size_t>(j)].uses) {
         if (!w.is_written) continue;
-        for (const ChainDatUse& r : loops_[is].uses)
+        for (std::size_t k = 0; k < loops_[is].uses.size(); ++k) {
+          const ChainDatUse& r = loops_[is].uses[k];
           if (r.is_read && r.id == w.id)
-            s = std::max(s, sigma[static_cast<std::size_t>(j)] + r.read_radius);
+            s = std::max(s, sigma[static_cast<std::size_t>(j)] + dep[is][k]);
+        }
       }
     sigma[is] = s;
   }
@@ -256,19 +245,14 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
                                                    << " on all read dats");
 
   exchange_chain_inputs();
-  const std::array<bool, 3> wrap = chain_periodicity();
 
   // Extended local ranges (redundant compute into halos; extension for
   // loop i must cover everything later loops re-read: ext_i = sigma_i).
   std::vector<Range> ext(static_cast<std::size_t>(n));
-  int outer_dim = 0;
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < n; ++i)
     ext[static_cast<std::size_t>(i)] = extended_local_range(
         loops_[static_cast<std::size_t>(i)], sigma[static_cast<std::size_t>(i)],
         wrap);
-    outer_dim = std::max(outer_dim,
-                         loops_[static_cast<std::size_t>(i)].block->ndims() - 1);
-  }
 
   // Tile-boundary axis: spans every loop's extended outer range shifted
   // down by its skew.
@@ -303,6 +287,7 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
   TilingRecord& tiling = ctx_->instr().tiling();
   tiling.chains += 1;
   tiling.tile_height = tile_outer;
+  tiling.needed_depth = std::max(tiling.needed_depth, needed_depth);
   tiling.auto_tuned = auto_tuned;
   if (auto_tuned) {
     tiling.row_bytes = row_bytes;
@@ -369,16 +354,16 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
       Timer t;
       {
         trace::TraceSpan span(trace::Cat::Kernel, l.name);
-        // Split this loop's tile sub-range over the thread team. Bodies
-        // are strictly serial range executors (see par_loop), so the
-        // partition is safe and bitwise identical to a serial sweep.
-        execute_range_team(pool, r, outer_dim, l.body);
+        // Bodies are strictly serial range executors (see par_loop), so
+        // the outer-row split is bitwise identical to a serial sweep.
+        split_outer_rows(pool, r, outer_dim, l.body);
       }
       ctx_->instr().loop(l.name).host_seconds += t.elapsed();
       // Physical-boundary ghosts of freshly-written dats must track the
-      // interior inside the chain (reads in the next loops of this tile
-      // touch only rows this refresh sees as current). Runs after the
-      // team join, on the calling thread.
+      // interior inside the chain: refill the ghosts mirrored from the
+      // rows this pass wrote (reads in the next loops of this tile touch
+      // only rows this refresh sees as current). Runs after the team
+      // join, on the calling thread.
       for (const ChainDatUse& u : l.uses)
         if (u.is_written) u.refresh_bcs(r.lo[od], r.hi[od]);
     }

@@ -7,27 +7,32 @@
 //  * all dats read anywhere in the chain are halo-exchanged ONCE with deep
 //    halos (this is the communication-frequency reduction the paper
 //    mentions),
-//  * every loop's local range is extended into the halo region by the
-//    suffix-sum of downstream read radii (redundant computation along MPI
-//    boundaries — the paper's stated cost),
+//  * every loop's local range is extended into the halo region by its
+//    skew sigma_i, at least the suffix-sum of downstream read radii
+//    (redundant computation along MPI boundaries — the paper's stated
+//    cost; see execute_tiled for the full dependence rule),
 //  * the outermost dimension is cut into tiles of height `h`; tiles are
 //    executed in order, and within a tile the loops run in chain order
-//    over skewed sub-ranges: loop i is shifted up by the suffix radius sum
-//    so every read of an earlier loop's output lands on already-computed
-//    rows. The union of a loop's sub-ranges across tiles is exactly its
+//    over skewed sub-ranges: loop i is shifted up by sigma_i so every
+//    read of an earlier loop's output lands on already-computed rows. The union of a loop's sub-ranges across tiles is exactly its
 //    range — no point is executed twice within a rank. Within a tile each
-//    loop's sub-range is itself split over the rank's thread team along
-//    the innermost non-tiled dimension (dynamic schedule, so the skewed
-//    tile edges don't serialize on the slowest thread) — the intra-tile
-//    threading of the OPS tiled executor. Loop bodies are strictly
-//    serial range executors, so the partition never changes results.
-//  * physical-boundary ghost fills of written dats are refreshed after
-//    each producing loop inside each tile, so boundary reads observe
-//    current values exactly as in untiled execution.
+//    loop's sub-range is split over the rank's thread team into one
+//    contiguous slab of outer rows per member (split_outer_rows, the same
+//    static split eager par_loop uses). Loop bodies are strictly serial
+//    range executors and the team joins before the boundary refresh, so
+//    the partition never changes results.
+//  * after each producing loop inside each tile, the physical-boundary
+//    ghosts mirrored from the rows it just wrote are refilled
+//    (Dat::refresh_physical_bcs): the ghost columns of the written rows,
+//    and an outer face only when the written rows reach the interior rows
+//    it mirrors. Boundary reads thus observe current values exactly as in
+//    untiled execution, at a cost proportional to the tile.
 //
 // The result is bitwise identical to untiled execution (tested), while
 // the traffic of a chain of N loops over a tile that fits in cache is
-// served from cache rather than DRAM.
+// served from cache rather than DRAM. A chain needs halo depth
+// sigma_0 + r_0 on every dat it reads (recorded as
+// TilingRecord::needed_depth); apps size their tiled dats to exactly that.
 #pragma once
 
 #include <array>
@@ -55,6 +60,8 @@ struct ChainDatUse {
   /// Allocated extent (owned + halos) per dimension; the auto-tuner
   /// multiplies the non-tiled extents into a bytes-per-tile-row footprint.
   std::array<idx_t, 3> alloc_extent{1, 1, 1};
+  /// Dat::exec_hi per dimension (where mirror BCs fold reads back).
+  std::array<idx_t, 3> exec_hi{1, 1, 1};
   std::function<void()> exchange;    ///< Dat::exchange_halos
   std::function<void()> mark_dirty;  ///< Dat::mark_halos_dirty
   /// Dat::refresh_physical_bcs restricted to outer rows [lo, hi).
@@ -85,9 +92,9 @@ class ChainQueue {
   /// so the chain's per-tile working set (unique dats x bytes per tile
   /// row) fits the context's tile cache budget, floored at the chain's
   /// total stencil extension. Within each tile every loop's sub-range is
-  /// executed across the context's thread team (dynamic schedule over the
-  /// innermost non-tiled dimension); results stay bitwise identical to
-  /// untiled execution for every tile height and team size.
+  /// executed across the context's thread team (split_outer_rows); results
+  /// stay bitwise identical to untiled execution for every tile height and
+  /// team size.
   void execute_tiled(idx_t tile_outer);
 
   /// Reference execution: loop-by-loop with per-loop halo exchanges, same
@@ -110,6 +117,30 @@ class ChainQueue {
   Context* ctx_;
   std::vector<ChainLoop> loops_;
 };
+
+/// Runs `body` over `r` across the thread team, split statically over
+/// dimension `outer_dim` into one contiguous slab of rows per member
+/// (ThreadPool::chunk); serial when there is no team. This is the one
+/// intra-rank split rule: eager par_loop and the tiled executor both use
+/// it. Bodies write per point, so every split is bitwise identical to
+/// body(r).
+template <class Body>
+void split_outer_rows(par::ThreadPool* pool, const Range& r, int outer_dim,
+                      Body&& body) {
+  if (pool == nullptr || pool->size() == 1) {
+    body(r);
+    return;
+  }
+  const auto od = static_cast<std::size_t>(outer_dim);
+  pool->run([&](int tid) {
+    const auto [lo, hi] = pool->chunk(r.lo[od], r.hi[od], tid);
+    if (lo >= hi) return;
+    Range sub = r;
+    sub.lo[od] = lo;
+    sub.hi[od] = hi;
+    body(sub);
+  });
+}
 
 /// Called by par_loop in lazy mode.
 void enqueue_lazy(Context& ctx, const LoopMeta& meta, Block& b,

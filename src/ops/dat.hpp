@@ -9,6 +9,7 @@
 // needed").
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -186,12 +187,21 @@ class Dat {
 
   /// Re-applies the physical-boundary ghost fills (used by the tiled
   /// chain executor to keep boundary ghosts current mid-chain). When
-  /// `outer_lo < outer_hi` the refresh is restricted, in the outermost
-  /// dimension, to rows intersecting [outer_lo - 2*depth, outer_hi +
-  /// 2*depth) — enough to cover every skewed read of the current tile
-  /// while keeping the per-tile cost proportional to the tile.
+  /// `outer_lo < outer_hi`, the outer-dimension rows [outer_lo, outer_hi)
+  /// are the rows a loop just wrote, and only ghosts whose source rows
+  /// they contain are refilled:
+  ///  * non-outer faces: the ghost columns of the written rows (a row's
+  ///    ghost columns mirror that row only), across the whole allocation
+  ///    so that written periodic-image ghost rows keep their corners;
+  ///  * outer faces: the whole face strip, but only when the written
+  ///    rows reach the interior rows the face mirrors — [exec_lo,
+  ///    exec_lo + depth] on the low side, [exec_hi - 1 - depth, exec_hi)
+  ///    on the high side.
+  /// The per-tile cost is thus proportional to the rows the tile wrote.
   void refresh_physical_bcs(idx_t outer_lo = 0, idx_t outer_hi = -1) {
     const int outer = block_->ndims() - 1;
+    const auto os = static_cast<std::size_t>(outer);
+    const bool restricted = outer_lo < outer_hi;
     for (int d = 0; d < block_->ndims(); ++d) {
       const auto ds = static_cast<std::size_t>(d);
       if (bc_[ds][0] == Bc::Periodic) continue;
@@ -201,30 +211,19 @@ class Dat {
       high.lo[ds] = exec_hi(d);
       high.hi[ds] =
           exec_hi(d) + depth_ + stagger_[ds] - (exec_hi(d) - own_hi_[ds]);
-      if (outer_lo < outer_hi) {
-        // Restrict to the rows the current tile can read: for non-outer
-        // faces clamp the strip; for the outer faces themselves this
-        // skips strips the tile never reaches.
-        const auto os = static_cast<std::size_t>(outer);
-        const idx_t lo_clip = outer_lo - 2 * depth_;
-        const idx_t hi_clip = outer_hi + 2 * depth_;
-        if (d != outer) {
-          // Mid-chain, ghost rows of the outer dimension hold redundantly
-          // computed (periodic-image) values, so the non-outer faces must
-          // cover them too; base_box spans only the exec range.
-          low.lo[os] = std::max(alo_[os], lo_clip);
-          low.hi[os] = std::min(ahi_[os], hi_clip);
-          high.lo[os] = std::max(alo_[os], lo_clip);
-          high.hi[os] = std::min(ahi_[os], hi_clip);
-        } else {
-          low.lo[os] = std::max(low.lo[os], lo_clip);
-          low.hi[os] = std::min(low.hi[os], hi_clip);
-          high.lo[os] = std::max(high.lo[os], lo_clip);
-          high.hi[os] = std::min(high.hi[os], hi_clip);
-        }
+      bool fill_low = block_->neighbor(d, -1) < 0;
+      bool fill_high = block_->neighbor(d, +1) < 0;
+      if (restricted && d != outer) {
+        low.lo[os] = high.lo[os] = std::max(alo_[os], outer_lo);
+        low.hi[os] = high.hi[os] = std::min(ahi_[os], outer_hi);
+      } else if (restricted) {
+        fill_low = fill_low && outer_lo <= exec_lo(d) + depth_ &&
+                   outer_hi > exec_lo(d);
+        fill_high = fill_high && outer_hi >= exec_hi(d) - depth_ &&
+                    outer_lo < exec_hi(d);
       }
-      if (block_->neighbor(d, -1) < 0) fill_bc(d, 0, low);
-      if (block_->neighbor(d, +1) < 0) fill_bc(d, 1, high);
+      if (fill_low) fill_bc(d, 0, low);
+      if (fill_high) fill_bc(d, 1, high);
     }
   }
 
@@ -397,43 +396,45 @@ class Dat {
     }
   }
 
+  /// Fills the ghost box of face (d, side) from the interior. The BC case
+  /// is resolved once per face: ghost index g in dim d takes its value
+  /// from index c (CopyNearest) or c - g (Reflect/ReflectNeg, mirror
+  /// plane between cells lo-1|lo and hi-1|hi for cell-centered fields, on
+  /// the boundary node lo or hi-1 for node-centered ones), negated for
+  /// ReflectNeg. Faces of dims > 0 copy whole ghost rows; the innermost
+  /// face runs a tight loop within each row.
   void fill_bc(int d, int side, const Box& ghosts) {
     const auto ds = static_cast<std::size_t>(d);
     const Bc bc = bc_[ds][static_cast<std::size_t>(side)];
-    if (bc == Bc::None) return;
+    if (bc == Bc::None || bc == Bc::Periodic) return;
+    const idx_t n = ghosts.hi[0] - ghosts.lo[0];
     const idx_t lo = exec_lo(d), hi = exec_hi(d);
-    // Mirror plane: for cell-centered fields the wall sits between cells
-    // (lo-1|lo and hi-1|hi); for node-centered fields the wall *is* the
-    // boundary node (lo and hi-1).
-    const bool node = stagger_[ds] == 1;
+    const bool mirror = bc != Bc::CopyNearest;
+    const bool neg = bc == Bc::ReflectNeg;
+    const idx_t cell = stagger_[ds] == 1 ? 0 : 1;
+    const idx_t c = !mirror     ? (side == 0 ? lo : hi - 1)
+                    : side == 0 ? 2 * lo - cell
+                                : 2 * (hi - 1) + cell;
     for (idx_t k = ghosts.lo[2]; k < ghosts.hi[2]; ++k)
-      for (idx_t j = ghosts.lo[1]; j < ghosts.hi[1]; ++j)
-        for (idx_t i = ghosts.lo[0]; i < ghosts.hi[0]; ++i) {
-          std::array<idx_t, 3> g{i, j, k};
-          const idx_t gd = g[ds];
-          idx_t src = gd;
-          switch (bc) {
-            case Bc::CopyNearest:
-              src = side == 0 ? lo : hi - 1;
-              break;
-            case Bc::Reflect:
-            case Bc::ReflectNeg: {
-              if (side == 0)
-                src = node ? 2 * lo - gd : 2 * lo - 1 - gd;
-              else
-                src = node ? 2 * (hi - 1) - gd : 2 * hi - 1 - gd;
-              break;
-            }
-            case Bc::None:
-            case Bc::Periodic:
-              return;  // handled elsewhere
+      for (idx_t j = ghosts.lo[1]; j < ghosts.hi[1]; ++j) {
+        T* dst = ptr(ghosts.lo[0], j, k);
+        if (d == 0) {
+          // Sources lie in the same row: offsets relative to dst.
+          const idx_t g0 = ghosts.lo[0];
+          for (idx_t i = 0; i < n; ++i) {
+            const T v = dst[(mirror ? c - (g0 + i) : c) - g0];
+            dst[i] = neg ? -v : v;
           }
-          std::array<idx_t, 3> s = g;
-          s[ds] = src;
-          T v = at(s[0], s[1], s[2]);
-          if (bc == Bc::ReflectNeg) v = -v;
-          at(g[0], g[1], g[2]) = v;
+          continue;
         }
+        const idx_t g = d == 1 ? j : k;
+        const idx_t s = mirror ? c - g : c;
+        const T* src = d == 1 ? ptr(ghosts.lo[0], s, k) : ptr(ghosts.lo[0], j, s);
+        if (neg)
+          std::transform(src, src + n, dst, [](T v) { return -v; });
+        else
+          std::copy(src, src + n, dst);
+      }
   }
 
   Block* block_;

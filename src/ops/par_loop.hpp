@@ -334,6 +334,7 @@ ChainDatUse dat_use(Dat<T>* d) {
     u.periodic[static_cast<std::size_t>(dim)] = d->bc(dim, 0) == Bc::Periodic;
     u.alloc_extent[static_cast<std::size_t>(dim)] =
         d->alloc_hi(dim) - d->alloc_lo(dim);
+    u.exec_hi[static_cast<std::size_t>(dim)] = d->exec_hi(dim);
   }
   u.exchange = [d] { d->exchange_halos(); };
   u.mark_dirty = [d] { d->mark_halos_dirty(); };
@@ -466,14 +467,7 @@ void par_loop(const LoopMeta& meta, Block& b, const Range& range,
         std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
       return;
     }
-    if (team <= 1) {
-      exec_range(rr);
-      return;
-    }
-    pool->run([&](int tid) {
-      const auto [clo, chi] = pool->chunk(olo, ohi, tid);
-      if (clo < chi) exec_range(sub_range(clo, chi));
-    });
+    split_outer_rows(pool, rr, outer_dim, exec_range);
   };
 
   if (ctx.lazy()) {

@@ -19,13 +19,6 @@
 
 namespace bwlab::par {
 
-/// Iteration-to-thread mapping of parallel_for. Static splits [begin, end)
-/// into one contiguous chunk per thread up front; Dynamic hands out
-/// `chunk`-sized pieces from a shared counter, so unevenly-sized work —
-/// the skewed edge sub-ranges of the tiling executor — does not serialize
-/// on the slowest thread.
-enum class Schedule { Static, Dynamic };
-
 /// Process-wide pool occupancy snapshot, aggregated over every live
 /// ThreadPool: relaxed-atomic reads, safe from any thread while regions
 /// run. This is the bwlive sampler's view of the execution engine (it is
@@ -69,29 +62,14 @@ class ThreadPool {
   /// returns when all are done.
   void run(const std::function<void(int)>& fn);
 
-  /// Parallel loop over [begin, end). Static schedule by default; pass
-  /// Schedule::Dynamic (with an optional grain size, default 1) for
-  /// work-stealing-style load balance on uneven iterations.
+  /// Parallel loop over [begin, end), static schedule (one contiguous
+  /// chunk per team member, see chunk()).
   template <class F>
-  void parallel_for(idx_t begin, idx_t end, F&& f,
-                    Schedule sched = Schedule::Static, idx_t grain = 1) {
+  void parallel_for(idx_t begin, idx_t end, F&& f) {
     if (end <= begin) return;
     const idx_t n = end - begin;
     if (threads_ == 1 || n == 1) {
       for (idx_t i = begin; i < end; ++i) f(i);
-      return;
-    }
-    if (sched == Schedule::Dynamic) {
-      const idx_t step = std::max<idx_t>(grain, 1);
-      std::atomic<idx_t> next{begin};
-      run([&](int) {
-        for (;;) {
-          const idx_t lo = next.fetch_add(step, std::memory_order_relaxed);
-          if (lo >= end) return;
-          const idx_t hi = std::min(end, lo + step);
-          for (idx_t i = lo; i < hi; ++i) f(i);
-        }
-      });
       return;
     }
     run([&](int tid) {
@@ -138,13 +116,16 @@ class ThreadPool {
   int trace_rank_;  ///< rank track of the creating thread (bwtrace)
   std::vector<std::thread> workers_;
 
+  // Region hand-off. generation_ and pending_ are atomics so both sides
+  // can spin on them briefly before parking on the condition variables;
+  // they still change only under mu_, so no wake-up is lost.
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   const std::function<void(int)>* task_ = nullptr;
-  count_t generation_ = 0;
-  int pending_ = 0;
-  bool shutdown_ = false;
+  std::atomic<count_t> generation_{0};
+  std::atomic<int> pending_{0};
+  std::atomic<bool> shutdown_{false};
 
   // Sampler-visible occupancy mirrors (see PoolCensus). Kept separate
   // from pending_/generation_ so readers never need mu_.

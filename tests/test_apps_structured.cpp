@@ -78,6 +78,24 @@ TEST(CloverLeaf2D, TiledIsBitwiseIdenticalSerially) {
   EXPECT_EQ(eager.checksum, tiled.checksum);
 }
 
+/// Regression: at the default n=32, tiled runs on 2 and 4 ranks (local
+/// extent 16 per split dimension) used to fail in every rank thread
+/// because the tiled halo depth was hard-coded above what the chain needs.
+class Clover2DTiledRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(Clover2DTiledRanks, DefaultSizeAutoTiledMatchesEager) {
+  Options o;  // default n = 32
+  o.iterations = 3;
+  const Result eager = clover2d::run(o);
+  Options t = o;
+  t.ranks = GetParam();
+  t.tiled = true;
+  t.tile_size = 0;  // auto-tuned
+  EXPECT_LT(rel_diff(clover2d::run(t).checksum, eager.checksum), 1e-11);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, Clover2DTiledRanks, ::testing::Values(2, 4));
+
 TEST(CloverLeaf2D, BoundaryKernelsInProfile) {
   Options o;
   o.n = 32;
@@ -111,6 +129,27 @@ TEST(CloverLeaf3D, DistributedMatchesSerial) {
   m.ranks = 4;
   const Result r = clover3d::run(m);
   EXPECT_LT(rel_diff(r.checksum, ref.checksum), 1e-11);
+}
+
+// --- Tiled halo depth ----------------------------------------------------------
+
+/// Each app sizes its tiled dats' halos with a constant; the executor
+/// records what the chain actually needs. Equality, not >=: any chain
+/// edit that changes the needed depth must update the constant, so halos
+/// are never over-allocated and never too shallow.
+TEST(TiledHaloDepth, AppConstantsEqualChainNeededDepth) {
+  Options o;
+  o.n = 20;
+  o.iterations = 1;
+  o.tiled = true;
+  EXPECT_EQ(clover2d::run(o).instr.tiling().needed_depth,
+            clover2d::kTiledHaloDepth);
+  EXPECT_EQ(clover3d::run(o).instr.tiling().needed_depth,
+            clover3d::kTiledHaloDepth);
+  for (const opensbli::Variant v :
+       {opensbli::Variant::StoreAll, opensbli::Variant::StoreNone})
+    EXPECT_EQ(opensbli::run(o, v).instr.tiling().needed_depth,
+              opensbli::tiled_halo_depth(v));
 }
 
 // --- Acoustic ----------------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <sstream>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 #include "core/report.hpp"
@@ -116,6 +118,163 @@ TEST(Dat, ExchangeCountsRecorded) {
   const ExchangeRecord& rec = ctx.instr().exchange("u");
   EXPECT_EQ(rec.exchanges, 2u);  // one per dimension of the first exchange
   EXPECT_EQ(rec.halo_depth, 2);
+}
+
+/// Per-point reference of the physical-boundary fill: for each dimension
+/// in order, every ghost point of the face strip (allocation extent in
+/// earlier dimensions, exec range in later ones, so corners fill by
+/// dimension order) takes the value of its nearest or mirrored source.
+void reference_fill(Dat<double>& u, int ndims) {
+  for (int d = 0; d < ndims; ++d)
+    for (int side = 0; side < 2; ++side) {
+      const Bc bc = u.bc(d, side);
+      if (bc == Bc::None) continue;
+      const auto ds = static_cast<std::size_t>(d);
+      const idx_t lo = u.exec_lo(d), hi = u.exec_hi(d);
+      const bool node = u.stagger(d) == 1;
+      std::array<idx_t, 3> blo{}, bhi{};
+      for (int e = 0; e < 3; ++e) {
+        const auto es = static_cast<std::size_t>(e);
+        blo[es] = e < d ? u.alloc_lo(e) : u.exec_lo(e);
+        bhi[es] = e < d ? u.alloc_hi(e) : u.exec_hi(e);
+      }
+      blo[ds] = side == 0 ? u.alloc_lo(d) : hi;
+      bhi[ds] = side == 0 ? lo : u.alloc_hi(d);
+      for (idx_t k = blo[2]; k < bhi[2]; ++k)
+        for (idx_t j = blo[1]; j < bhi[1]; ++j)
+          for (idx_t i = blo[0]; i < bhi[0]; ++i) {
+            const std::array<idx_t, 3> g{i, j, k};
+            const idx_t gd = g[ds];
+            std::array<idx_t, 3> src = g;
+            if (bc == Bc::CopyNearest)
+              src[ds] = side == 0 ? lo : hi - 1;
+            else if (side == 0)
+              src[ds] = node ? 2 * lo - gd : 2 * lo - 1 - gd;
+            else
+              src[ds] = node ? 2 * (hi - 1) - gd : 2 * hi - 1 - gd;
+            const double v = u.at(src[0], src[1], src[2]);
+            u.at(i, j, k) = bc == Bc::ReflectNeg ? -v : v;
+          }
+    }
+}
+
+/// Gives every allocated element (ghosts included) a distinct value, so
+/// an unfilled or misfilled ghost shows.
+void fill_alloc(Dat<double>& u) {
+  for (std::size_t i = 0; i < u.alloc_count(); ++i)
+    u.alloc_data()[i] = 0.37 * static_cast<double>(i) - 11.0;
+  u.mark_halos_dirty();
+}
+
+TEST(Dat, RowWiseBoundaryFillsMatchPerPointReference) {
+  const Bc kinds[] = {Bc::CopyNearest, Bc::Reflect, Bc::ReflectNeg, Bc::None};
+  for (int nd = 1; nd <= 3; ++nd)
+    for (int mask = 0; mask < (1 << nd); ++mask)
+      for (int rot = 0; rot < 4; ++rot) {
+        // Every face meets every BC kind over the four rotations.
+        Context ctx;
+        Block b(ctx, "g", nd, {7, nd > 1 ? 6 : 1, nd > 2 ? 5 : 1});
+        const std::array<int, 3> st{mask & 1, (mask >> 1) & 1,
+                                    (mask >> 2) & 1};
+        Dat<double> got(b, "got", 3, st), ref(b, "ref", 3, st);
+        for (Dat<double>* u : {&got, &ref}) {
+          for (int d = 0; d < nd; ++d)
+            for (int side = 0; side < 2; ++side)
+              u->set_bc(d, side,
+                        kinds[static_cast<std::size_t>(rot + 2 * d + side) %
+                              4]);
+          fill_alloc(*u);
+        }
+        got.exchange_halos();
+        reference_fill(ref, nd);
+        for (std::size_t i = 0; i < got.alloc_count(); ++i)
+          ASSERT_EQ(got.alloc_data()[i], ref.alloc_data()[i])
+              << nd << "D stagger mask " << mask << " rotation " << rot
+              << " element " << i;
+      }
+}
+
+/// The tiled executor's refresh of the rows a loop just wrote leaves the
+/// dat exactly as a full refresh would, when only those rows changed.
+TEST(Dat, RefreshOfWrittenRowsMatchesFullRefresh) {
+  const Bc kinds[] = {Bc::CopyNearest, Bc::Reflect, Bc::ReflectNeg};
+  for (int nd = 2; nd <= 3; ++nd)
+    for (int mask = 0; mask < (1 << nd); ++mask)
+      for (int rot = 0; rot < 3; ++rot) {
+        Context ctx;
+        Block b(ctx, "g", nd, {12, 11, nd > 2 ? 10 : 1});
+        const std::array<int, 3> st{mask & 1, (mask >> 1) & 1,
+                                    (mask >> 2) & 1};
+        const int outer = nd - 1;
+        Dat<double> part(b, "part", 3, st), full(b, "full", 3, st);
+        const idx_t top = part.exec_hi(outer);
+        // Written-row windows: edge rows, rows just inside and just
+        // outside the mirrored interior rows, and an interior strip.
+        const std::pair<idx_t, idx_t> windows[] = {
+            {0, 2}, {3, 4}, {4, 6}, {top - 4, top - 3}, {top - 2, top},
+            {2, top - 5}, {0, top}};
+        for (const auto& [lo, hi] : windows) {
+          for (Dat<double>* u : {&part, &full}) {
+            for (int d = 0; d < nd; ++d)
+              for (int side = 0; side < 2; ++side)
+                u->set_bc(d, side,
+                          kinds[static_cast<std::size_t>(rot + 2 * d + side) %
+                                3]);
+            fill_alloc(*u);
+            u->exchange_halos();
+            // The producing loop: new values on rows [lo, hi) only.
+            for (idx_t k = u->exec_lo(2); k < u->exec_hi(2); ++k)
+              for (idx_t j = u->exec_lo(1); j < u->exec_hi(1); ++j)
+                for (idx_t i = u->exec_lo(0); i < u->exec_hi(0); ++i) {
+                  const idx_t row = outer == 1 ? j : k;
+                  if (row >= lo && row < hi)
+                    u->at(i, j, k) = std::sin(double(i + 3 * j + 7 * k));
+                }
+          }
+          part.refresh_physical_bcs(lo, hi);
+          full.refresh_physical_bcs();
+          for (std::size_t i = 0; i < part.alloc_count(); ++i)
+            ASSERT_EQ(part.alloc_data()[i], full.alloc_data()[i])
+                << nd << "D stagger mask " << mask << " rotation " << rot
+                << " rows [" << lo << ", " << hi << ") element " << i;
+        }
+      }
+}
+
+/// Periodic chains recompute the outer ghost rows as periodic images, so
+/// those are written rows too: refreshing them must also refill their
+/// non-outer ghost columns (the corners), exactly as a full exchange
+/// leaves them.
+TEST(Dat, RefreshOfWrittenPeriodicImageRowsKeepsCorners) {
+  constexpr idx_t kN = 12;
+  const Bc kinds[] = {Bc::CopyNearest, Bc::Reflect, Bc::ReflectNeg};
+  for (int sx = 0; sx < 2; ++sx)
+    for (int rot = 0; rot < 3; ++rot) {
+      Context ctx;
+      Block b(ctx, "g", 2, {kN, kN, 1});
+      Dat<double> part(b, "part", 3, {sx, 0, 0}), full(b, "full", 3, {sx, 0, 0});
+      for (Dat<double>* u : {&part, &full}) {
+        u->set_bc(0, 0, kinds[static_cast<std::size_t>(rot)]);
+        u->set_bc(0, 1, kinds[static_cast<std::size_t>(rot + 1) % 3]);
+        u->set_bc(1, 0, Bc::Periodic);
+        u->set_bc(1, 1, Bc::Periodic);
+        fill_alloc(*u);
+        u->exchange_halos();
+        // Redundant compute of the periodic images: the low rows and
+        // their images past the high edge, and vice versa.
+        for (idx_t j = -3; j < 3; ++j)
+          for (const idx_t row : {j, j + kN})
+            for (idx_t i = u->exec_lo(0); i < u->exec_hi(0); ++i)
+              u->at(i, row) = std::cos(double(i) + 0.3 * double((j + kN) % kN));
+      }
+      part.refresh_physical_bcs(-3, 3);
+      part.refresh_physical_bcs(kN - 3, kN + 3);
+      full.mark_halos_dirty();
+      full.exchange_halos();
+      for (std::size_t i = 0; i < part.alloc_count(); ++i)
+        ASSERT_EQ(part.alloc_data()[i], full.alloc_data()[i])
+            << "stagger " << sx << " rotation " << rot << " element " << i;
+    }
 }
 
 // --- par_loop ----------------------------------------------------------------
@@ -314,6 +473,52 @@ TEST(Tiling, DistributedTiledMatchesSerialEager) {
       EXPECT_NEAR(s, ref, std::max(std::abs(ref), 1.0) * 1e-10);
     }
   });
+}
+
+/// A node-range loop reading a cell-centred dat runs one row past the
+/// dat's exec range at the high edge, where the Reflect BC folds its +2
+/// read of ghost row n+2 back onto interior row n-3: a dependence one row
+/// longer than the stencil radius. A later loop rewrites that dat, so
+/// unless the skew covers the fold, an earlier tile's rewrite (and the
+/// ghost refresh after it) reaches row n-3 before the read.
+TEST(Tiling, MirrorFoldedReadStaysAheadOfLaterRewrite) {
+  constexpr idx_t kN = 20;
+  const auto run = [](Context& ctx, bool tiled, idx_t tile) {
+    Block b(ctx, "g", 2, {kN, kN, 1});
+    Dat<double> c(b, "c", 8), nd(b, "n", 8, {0, 1, 0});
+    for (Dat<double>* u : {&c, &nd}) {
+      u->set_bc_all(Bc::Reflect);
+      u->fill_indexed([](idx_t i, idx_t j, idx_t) {
+        return std::cos(0.3 * double(i)) + 0.1 * double(j * j);
+      });
+    }
+    ctx.set_lazy(tiled);
+    par_loop({"fold", 2.0}, b, Range::make2d(0, kN, 0, kN + 1),
+             [](Acc<const double> x, Acc<double> y) {
+               y(0, 0) = x(0, 2) - 0.5 * x(0, 0);
+             },
+             read(c, Stencil::star(2, 2)), write(nd));
+    par_loop({"rewrite", 1.0}, b, Range::make2d(0, kN, 0, kN),
+             [](Acc<const double> y, Acc<double> x) {
+               x(0, 0) = 3.0 * y(0, 0) + 1.0;
+             },
+             read(nd), write(c));
+    ctx.set_lazy(false);
+    if (tiled) ctx.chain().execute_tiled(tile);
+    std::vector<double> out;
+    for (const Dat<double>* u : {&c, &nd})
+      for (idx_t j = u->exec_lo(1); j < u->exec_hi(1); ++j)
+        for (idx_t i = u->exec_lo(0); i < u->exec_hi(0); ++i)
+          out.push_back(u->at(i, j));
+    return out;
+  };
+  Context eager_ctx;
+  const std::vector<double> ref = run(eager_ctx, false, 0);
+  for (const idx_t tile : {1, 2, 3, 5, 40})
+    for (const int pool : {1, 2, 4}) {
+      Context ctx(pool);
+      EXPECT_EQ(run(ctx, true, tile), ref) << "tile " << tile << " pool " << pool;
+    }
 }
 
 TEST(Tiling, RejectsInsufficientHaloDepth) {

@@ -277,12 +277,17 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Randomized loop-chain fuzzing --------------------------------------------
 //
 // Property: for ANY loop chain — random dat count, random stencil taps and
-// radii, random per-dimension periodicity — tiled-parallel execution is
-// bitwise identical to the eager serial reference for every (tile height,
-// pool size) pair, including degenerate tiles taller than the domain.
+// radii, random per-dimension periodicity, random per-face physical BCs
+// (CopyNearest / Reflect / ReflectNeg) and staggering on the non-periodic
+// dimensions — tiled-parallel execution is bitwise identical to the eager
+// serial reference for every (tile height, pool size) pair, including
+// degenerate tiles taller than the domain.
 
 constexpr idx_t kFuzzN = 24;
-constexpr int kFuzzDepth = 8;  // covers any chain of <= 4 radius-2 loops
+// Covers any chain of <= 4 radius-2 loops: each later loop adds at most
+// its dependence radius 3 (radius 2 plus the row a node-range read folds
+// back through a mirror BC) to sigma_0 <= 9, plus loop 0's reads.
+constexpr int kFuzzDepth = 11;
 
 struct FuzzLoop {
   int src = 0, dst = 0, radius = 0;
@@ -290,9 +295,17 @@ struct FuzzLoop {
   std::array<double, 3> coef{};
 };
 
+/// Boundary shape of one dat: stagger and per-face BC of each
+/// non-periodic dimension (periodic dimensions stay cell-centered).
+struct FuzzDat {
+  std::array<int, 3> stagger{0, 0, 0};
+  std::array<std::array<Bc, 2>, 2> bc{};  // [dim][side]
+};
+
 struct FuzzSpec {
   int ndats = 2;
   bool periodic_x = false, periodic_y = false;
+  std::vector<FuzzDat> dats;
   std::vector<FuzzLoop> loops;
 };
 
@@ -320,6 +333,18 @@ FuzzSpec random_spec(std::mt19937& rng) {
     }
     s.loops.push_back(fl);
   }
+  const Bc kinds[] = {Bc::CopyNearest, Bc::Reflect, Bc::ReflectNeg};
+  for (int d = 0; d < s.ndats; ++d) {
+    FuzzDat fd;
+    for (std::size_t dim = 0; dim < 2; ++dim) {
+      const bool periodic = dim == 0 ? s.periodic_x : s.periodic_y;
+      fd.stagger[dim] = periodic ? 0 : ri(0, 1);
+      for (std::size_t side = 0; side < 2; ++side)
+        fd.bc[dim][side] =
+            periodic ? Bc::Periodic : kinds[static_cast<std::size_t>(ri(0, 2))];
+    }
+    s.dats.push_back(fd);
+  }
   return s;
 }
 
@@ -328,17 +353,17 @@ using DatPtrs = std::vector<std::unique_ptr<Dat<double>>>;
 DatPtrs make_fuzz_dats(Block& b, const FuzzSpec& spec) {
   DatPtrs dats;
   for (int d = 0; d < spec.ndats; ++d) {
+    const FuzzDat& fd = spec.dats[static_cast<std::size_t>(d)];
     std::string name = "f";
     name += std::to_string(d);
-    auto dat = std::make_unique<Dat<double>>(b, name, kFuzzDepth);
+    auto dat = std::make_unique<Dat<double>>(b, name, kFuzzDepth, fd.stagger);
     // Periodicity is per dimension and uniform across dats (tiled chains
     // require that); the non-periodic alternative still has halo reads.
-    for (int side = 0; side < 2; ++side) {
-      dat->set_bc(0, side,
-                  spec.periodic_x ? Bc::Periodic : Bc::CopyNearest);
-      dat->set_bc(1, side,
-                  spec.periodic_y ? Bc::Periodic : Bc::CopyNearest);
-    }
+    for (int dim = 0; dim < 2; ++dim)
+      for (int side = 0; side < 2; ++side)
+        dat->set_bc(dim, side,
+                    fd.bc[static_cast<std::size_t>(dim)]
+                         [static_cast<std::size_t>(side)]);
     const double phase = 0.1 * static_cast<double>(d + 1);
     dat->fill_indexed([phase](idx_t i, idx_t j, idx_t) {
       return std::sin(phase * double(i)) + std::cos(0.3 * phase * double(j));
@@ -359,7 +384,14 @@ void run_fuzz_loops(Block& b, DatPtrs& dats, const FuzzSpec& spec) {
       o(0, 0) = coef[0] * a(off[0], off[1]) + coef[1] * a(off[2], off[3]) +
                 coef[2] * a(off[4], off[5]);
     };
-    const Range r = Range::make2d(0, kFuzzN, 0, kFuzzN);
+    // A staggered destination is written on its boundary nodes too,
+    // where that is a valid read of the source: a node of its own, or a
+    // ghost behind a stencil read (which triggers the halo exchange).
+    auto hi = [&](int dim) {
+      const bool valid = fl.radius > 0 || dats[src]->stagger(dim) == 1;
+      return kFuzzN + (valid ? dats[dst]->stagger(dim) : 0);
+    };
+    const Range r = Range::make2d(0, hi(0), 0, hi(1));
     if (fl.radius == 0)
       par_loop({"fz" + std::to_string(li), 2.0}, b, r, kernel,
                read(*dats[src]), write(*dats[dst]));
@@ -370,11 +402,24 @@ void run_fuzz_loops(Block& b, DatPtrs& dats, const FuzzSpec& spec) {
   }
 }
 
+/// Asserts every executed point of every fuzz dat (boundary nodes of
+/// staggered dats included) is bitwise equal between two runs.
+void expect_fuzz_dats_equal(const DatPtrs& got, const DatPtrs& ref,
+                            const std::string& where) {
+  for (std::size_t d = 0; d < got.size(); ++d) {
+    const Dat<double>& g = *got[d];
+    for (idx_t j = g.exec_lo(1); j < g.exec_hi(1); ++j)
+      for (idx_t i = g.exec_lo(0); i < g.exec_hi(0); ++i)
+        ASSERT_EQ(g.at(i, j), ref[d]->at(i, j))
+            << where << " dat " << d << " at " << i << "," << j;
+  }
+}
+
 TEST(FuzzChains, TiledParallelBitwiseEqualsEagerForRandomChains) {
   const idx_t heights[] = {2, 5, 9, 64, 1000};  // 1000 >> the 24-row domain
   const int pools[] = {1, 2, 4};
   std::mt19937 rng(20260805u);
-  for (int trial = 0; trial < 6; ++trial) {
+  for (int trial = 0; trial < 12; ++trial) {
     const FuzzSpec spec = random_spec(rng);
     // Eager serial reference.
     Context ref_ctx;
@@ -390,13 +435,10 @@ TEST(FuzzChains, TiledParallelBitwiseEqualsEagerForRandomChains) {
         run_fuzz_loops(b, dats, spec);
         ctx.set_lazy(false);
         ctx.chain().execute_tiled(h);
-        for (int d = 0; d < spec.ndats; ++d)
-          for (idx_t j = 0; j < kFuzzN; ++j)
-            for (idx_t i = 0; i < kFuzzN; ++i)
-              ASSERT_EQ(dats[static_cast<std::size_t>(d)]->at(i, j),
-                        ref[static_cast<std::size_t>(d)]->at(i, j))
-                  << "trial " << trial << " tile " << h << " pool " << p
-                  << " dat " << d << " at " << i << "," << j;
+        expect_fuzz_dats_equal(dats, ref,
+                               "trial " + std::to_string(trial) + " tile " +
+                                   std::to_string(h) + " pool " +
+                                   std::to_string(p));
       }
   }
 }
@@ -419,13 +461,49 @@ TEST(FuzzChains, AutoTunedRandomChainsAlsoMatch) {
     ctx.set_lazy(false);
     ctx.chain().execute_tiled(0);  // auto-tuned
     EXPECT_TRUE(ctx.instr().tiling().auto_tuned);
-    for (int d = 0; d < spec.ndats; ++d)
-      for (idx_t j = 0; j < kFuzzN; ++j)
-        for (idx_t i = 0; i < kFuzzN; ++i)
-          ASSERT_EQ(dats[static_cast<std::size_t>(d)]->at(i, j),
-                    ref[static_cast<std::size_t>(d)]->at(i, j))
-              << "trial " << trial << " dat " << d << " at " << i << ","
-              << j;
+    expect_fuzz_dats_equal(dats, ref, "trial " + std::to_string(trial));
+  }
+}
+
+// The same chains on 2 and 4 ranks: redundant compute into the deep
+// halos and the per-tile refresh at every rank's physical faces must
+// reproduce the serial eager values bitwise on every owned point.
+TEST(FuzzChains, DistributedTiledBitwiseEqualsSerialEager) {
+  std::mt19937 rng(555u);
+  for (int trial = 0; trial < 4; ++trial) {
+    const FuzzSpec spec = random_spec(rng);
+    Context ref_ctx;
+    Block ref_b(ref_ctx, "g", 2, {kFuzzN, kFuzzN, 1});
+    DatPtrs ref = make_fuzz_dats(ref_b, spec);
+    run_fuzz_loops(ref_b, ref, spec);
+    for (const int ranks : {2, 4})
+      for (const idx_t h : {3, 64}) {
+        // Owned points are disjoint across ranks: each rank fills its own.
+        std::vector<std::vector<double>> got(
+            static_cast<std::size_t>(spec.ndats),
+            std::vector<double>((kFuzzN + 1) * (kFuzzN + 1), 0.0));
+        par::run_ranks(ranks, [&](par::Comm& comm) {
+          Context ctx(comm, 1);
+          Block b(ctx, "g", 2, {kFuzzN, kFuzzN, 1});
+          DatPtrs dats = make_fuzz_dats(b, spec);
+          ctx.set_lazy(true);
+          run_fuzz_loops(b, dats, spec);
+          ctx.set_lazy(false);
+          ctx.chain().execute_tiled(h);
+          for (std::size_t d = 0; d < dats.size(); ++d)
+            for (idx_t j = dats[d]->exec_lo(1); j < dats[d]->exec_hi(1); ++j)
+              for (idx_t i = dats[d]->exec_lo(0); i < dats[d]->exec_hi(0); ++i)
+                got[d][static_cast<std::size_t>(j * (kFuzzN + 1) + i)] =
+                    dats[d]->at(i, j);
+        });
+        for (std::size_t d = 0; d < ref.size(); ++d)
+          for (idx_t j = ref[d]->exec_lo(1); j < ref[d]->exec_hi(1); ++j)
+            for (idx_t i = ref[d]->exec_lo(0); i < ref[d]->exec_hi(0); ++i)
+              ASSERT_EQ(got[d][static_cast<std::size_t>(j * (kFuzzN + 1) + i)],
+                        ref[d]->at(i, j))
+                  << "trial " << trial << " ranks " << ranks << " tile " << h
+                  << " dat " << d << " at " << i << "," << j;
+      }
   }
 }
 

@@ -185,7 +185,9 @@ TEST(Trace, CloverTiledThreadedTrace) {
   trace::reset();
   trace::enable();
   apps::Options opt;
-  opt.n = 24;  // tiled mode uses halo depth 16: extent must cover it
+  // Tiled mode uses halo depth clover2d::kTiledHaloDepth: the extent
+  // must cover it plus the stagger point.
+  opt.n = 24;
   opt.iterations = 2;
   opt.ranks = 1;
   opt.threads = 2;
