@@ -62,8 +62,8 @@ struct Level {
   std::unique_ptr<op2::Map> face_cells;
   std::unique_ptr<op2::Dat<double>> q, res, step, face_geom, cell_vol;
 
-  void build(const op2::HexMesh& m) {
-    mesh = m;
+  void build(op2::HexMesh m) {
+    mesh = std::move(m);
     cells = std::make_unique<op2::Set>("cells", mesh.ncells);
     faces = std::make_unique<op2::Set>("faces", mesh.nfaces);
     face_cells = std::make_unique<op2::Map>("face_cells", *faces, *cells, 2,
@@ -94,7 +94,6 @@ struct Solver {
   Level fine, coarse;
   std::unique_ptr<op2::Map> f2c;           // fine cell -> coarse cell
   std::unique_ptr<op2::Dat<double>> q_old;  // coarse q before smoothing
-  op2::Coloring flux_colors_fine, flux_colors_coarse;
 
   Solver(op2::Runtime& r, op2::Mode m, idx_t n, std::uint64_t seed)
       : rt(r), mode(m) {
@@ -102,20 +101,21 @@ struct Solver {
     fine.build(op2::make_hex_mesh(ni, nj, nk, seed));
     const auto perm = op2::hex_permutation(ni * nj * nk, seed);
     op2::MgLevel lvl = op2::coarsen_hex(ni, nj, nk, perm, seed ^ 0x9e3779b9);
-    coarse.build(lvl.coarse);
+    coarse.build(std::move(lvl.coarse));
     f2c = std::make_unique<op2::Map>("f2c", *fine.cells, *coarse.cells, 1,
                                      lvl.fine_to_coarse);
     q_old = std::make_unique<op2::Dat<double>>(*coarse.cells, "q_old", kNv);
+    // Build the Colored plans in setup, not in the first timed cycle.
     if (mode == op2::Mode::Colored) {
-      flux_colors_fine = op2::color_set(*fine.faces, {fine.face_cells.get()});
-      flux_colors_coarse =
-          op2::color_set(*coarse.faces, {coarse.face_cells.get()});
+      rt.plans().get(*fine.faces, {fine.face_cells.get()});
+      rt.plans().get(*coarse.faces, {coarse.face_cells.get()});
+      rt.plans().get(*fine.cells, {f2c.get()});
     }
   }
 
   void compute_step_factor(Level& l) {
     op2::par_loop(
-        rt, {"compute_step_factor", 20.0}, *l.cells, op2::Mode::Serial,
+        rt, {"compute_step_factor", 20.0}, *l.cells, mode,
         [](const double* q, const double* vol, double* sf) {
           const double ir = 1.0 / q[0];
           const double speed = std::sqrt((q[1] * q[1] + q[2] * q[2] +
@@ -129,41 +129,32 @@ struct Solver {
         op2::read(*l.q), op2::read(*l.cell_vol), op2::write(*l.step));
   }
 
-  void compute_flux(Level& l, const op2::Coloring& colors) {
-    auto kern = [](const double* geom, const double* ql, const double* qr,
-                   double* rl, double* rr) {
-      double qfs[kNv], flux[kNv];
-      const double* right = qr;
-      if (qr[0] <= 0.0) {  // boundary face: far-field ghost state
-        freestream(qfs);
-        right = qfs;
-      }
-      rusanov(ql, right, geom[0], geom[1], geom[2], geom[3], flux);
-      for (int v = 0; v < kNv; ++v) {
-        rl[v] -= flux[v];
-        rr[v] += flux[v];
-      }
-    };
-    if (mode == op2::Mode::Colored) {
-      op2::par_loop_colored(rt, {"compute_flux", 110.0}, *l.faces, colors,
-                            kern, op2::read(*l.face_geom),
-                            op2::read_via(*l.q, *l.face_cells, 0),
-                            op2::read_via(*l.q, *l.face_cells, 1),
-                            op2::inc_via(*l.res, *l.face_cells, 0),
-                            op2::inc_via(*l.res, *l.face_cells, 1));
-    } else {
-      op2::par_loop(rt, {"compute_flux", 110.0}, *l.faces, mode, kern,
-                    op2::read(*l.face_geom),
-                    op2::read_via(*l.q, *l.face_cells, 0),
-                    op2::read_via(*l.q, *l.face_cells, 1),
-                    op2::inc_via(*l.res, *l.face_cells, 0),
-                    op2::inc_via(*l.res, *l.face_cells, 1));
-    }
+  void compute_flux(Level& l) {
+    op2::par_loop(
+        rt, {"compute_flux", 110.0}, *l.faces, mode,
+        [](const double* geom, const double* ql, const double* qr, double* rl,
+           double* rr) {
+          double qfs[kNv], flux[kNv];
+          const double* right = qr;
+          if (qr[0] <= 0.0) {  // boundary face: far-field ghost state
+            freestream(qfs);
+            right = qfs;
+          }
+          rusanov(ql, right, geom[0], geom[1], geom[2], geom[3], flux);
+          for (int v = 0; v < kNv; ++v) {
+            rl[v] -= flux[v];
+            rr[v] += flux[v];
+          }
+        },
+        op2::read(*l.face_geom), op2::read_via(*l.q, *l.face_cells, 0),
+        op2::read_via(*l.q, *l.face_cells, 1),
+        op2::inc_via(*l.res, *l.face_cells, 0),
+        op2::inc_via(*l.res, *l.face_cells, 1));
   }
 
   void time_step(Level& l) {
     op2::par_loop(
-        rt, {"time_step", 12.0}, *l.cells, op2::Mode::Serial,
+        rt, {"time_step", 12.0}, *l.cells, mode,
         [](const double* sf, const double* vol, double* q, double* res) {
           const double f = sf[0] / vol[0];
           for (int v = 0; v < kNv; ++v) {
@@ -175,9 +166,9 @@ struct Solver {
         op2::read_write(*l.q), op2::read_write(*l.res));
   }
 
-  void smooth(Level& l, const op2::Coloring& colors) {
+  void smooth(Level& l) {
     compute_step_factor(l);
-    compute_flux(l, colors);
+    compute_flux(l);
     time_step(l);
   }
 
@@ -185,7 +176,7 @@ struct Solver {
   /// level (MG-CFD's down-transfer), remembering the pre-smoothing state.
   void restrict_to_coarse() {
     op2::par_loop(
-        rt, {"mg_zero_coarse", 0.0}, *coarse.cells, op2::Mode::Serial,
+        rt, {"mg_zero_coarse", 0.0}, *coarse.cells, mode,
         [](double* qc, double* vc) {
           for (int v = 0; v < kNv; ++v) qc[v] = 0.0;
           vc[0] = 0.0;
@@ -200,7 +191,7 @@ struct Solver {
         op2::read(*fine.q), op2::read(*fine.cell_vol),
         op2::inc_via(*coarse.q, *f2c, 0), op2::inc_via(*coarse.cell_vol, *f2c, 0));
     op2::par_loop(
-        rt, {"mg_average", 5.0}, *coarse.cells, op2::Mode::Serial,
+        rt, {"mg_average", 5.0}, *coarse.cells, mode,
         [](double* qc, const double* vc, double* qo) {
           for (int v = 0; v < kNv; ++v) {
             qc[v] /= vc[0];
@@ -224,9 +215,9 @@ struct Solver {
 
   /// One MG-CFD cycle: fine smooth, restrict, coarse smooth, prolong.
   void cycle() {
-    smooth(fine, flux_colors_fine);
+    smooth(fine);
     restrict_to_coarse();
-    smooth(coarse, flux_colors_coarse);
+    smooth(coarse);
     prolong_correction();
   }
 

@@ -7,8 +7,13 @@
 //              local-increment / scatter buffers, the functional analogue
 //              of OP2's auto-vectorizing code generation ("MPI vec"): the
 //              packed inner loops are unit-stride and vectorizable,
-//  * Colored — thread-parallel execution by conflict-free colors
-//              ("MPI+OpenMP"; does not vectorize, as in the paper).
+//  * Colored — thread-parallel execution ("MPI+OpenMP"; does not
+//              vectorize, as in the paper). A loop with indirect
+//              increments runs from the runtime's cached execution plan
+//              for its (set, increment maps) (op2/color.hpp): one team
+//              region per block color, each member taking a static chunk
+//              of that color's blocks. A loop without increments is one
+//              static team region over the set.
 //
 // Kernels receive one pointer per argument (the element's dim-vector),
 // `const T*` for reads, `T*` for writes/increments, and `T&` for global
@@ -44,7 +49,8 @@ enum class Mode { Serial, Vec, Colored };
 
 const char* to_string(Mode m);
 
-/// Per-loop execution environment: thread team + instrumentation.
+/// Per-loop execution environment: thread team, Colored-mode execution
+/// plans and instrumentation.
 class Runtime {
  public:
   explicit Runtime(int threads = 1) {
@@ -52,11 +58,14 @@ class Runtime {
   }
   par::ThreadPool* pool() { return pool_.get(); }
   int threads() const { return pool_ ? pool_->size() : 1; }
+  /// Colored loops look their plans up here; apps may warm them in setup.
+  PlanCache& plans() { return plans_; }
   Instrumentation& instr() { return instr_; }
   const Instrumentation& instr() const { return instr_; }
 
  private:
   std::unique_ptr<par::ThreadPool> pool_;
+  PlanCache plans_;
   Instrumentation instr_;
 };
 
@@ -423,73 +432,76 @@ void guard_check(const std::string& loop, const ArgIInc<T>& a) {
 template <class A>
 void guard_check(const std::string&, const A&) {}
 
+/// Colored mode (see file header). Bound argument states are made once per
+/// call, one per team member, and merged after the last color.
+template <class Kernel, class... Args>
+void run_colored(Runtime& rt, const Set& set, Kernel& kernel,
+                 const Args&... args) {
+  std::vector<const Map*> maps;
+  (
+      [&] {
+        if (const Map* m = inc_map(args)) maps.push_back(m);
+      }(),
+      ...);
+  par::ThreadPool* pool = rt.pool();
+  using BoundTuple = decltype(std::make_tuple(bind(args)...));
+  std::vector<BoundTuple> bound(static_cast<std::size_t>(rt.threads()),
+                                std::make_tuple(bind(args)...));
+  const auto run_elements = [&](BoundTuple& b, idx_t lo, idx_t hi) {
+    for (idx_t e = lo; e < hi; ++e)
+      std::apply([&](auto&... bs) { kernel(bs.at(e)...); }, b);
+  };
+  if (maps.empty()) {
+    const idx_t n = set.size();
+    if (pool == nullptr || n < 2) {
+      run_elements(bound[0], 0, n);
+    } else {
+      pool->run([&](int tid) {
+        const auto [lo, hi] = pool->chunk(0, n, tid);
+        run_elements(bound[static_cast<std::size_t>(tid)], lo, hi);
+      });
+    }
+  } else {
+    const Plan& plan = rt.plans().get(set, maps);
+    const auto run_blocks = [&](BoundTuple& b, idx_t x0, idx_t x1) {
+      for (idx_t x = x0; x < x1; ++x) {
+        const auto [lo, hi] =
+            plan.block_range(plan.blocks[static_cast<std::size_t>(x)]);
+        run_elements(b, lo, hi);
+      }
+    };
+    for (int c = 0; c < plan.num_colors(); ++c) {
+      const idx_t x0 = plan.color_start[static_cast<std::size_t>(c)];
+      const idx_t x1 = plan.color_start[static_cast<std::size_t>(c) + 1];
+      if (pool == nullptr || x1 - x0 < 2) {
+        run_blocks(bound[0], x0, x1);
+        continue;
+      }
+      pool->run([&](int tid) {
+        const auto [lo, hi] = pool->chunk(x0, x1, tid);
+        run_blocks(bound[static_cast<std::size_t>(tid)], lo, hi);
+      });
+    }
+  }
+  for (auto& b : bound)
+    std::apply([](auto&... bs) { (bs.merge(), ...); }, b);
+}
+
 }  // namespace detail
 
 /// Executes `kernel` once per element of `set`. See file header for modes.
-/// Colored mode requires every increment-conflict map; the coloring is
-/// computed on the fly (apps should hoist and reuse it via the overload
-/// below for iteration loops).
-template <class Kernel, class... Args>
-void par_loop_colored(Runtime& rt, const LoopMeta& meta, const Set& set,
-                      const Coloring& coloring, Kernel&& kernel,
-                      Args... args) {
-  Timer t;
-  trace::TraceSpan span(trace::Cat::Kernel, meta.name);
-  par::ThreadPool* pool = rt.pool();
-  for (const auto& elements : coloring.by_color) {
-    const idx_t n = static_cast<idx_t>(elements.size());
-    if (pool == nullptr || n < 2) {
-      auto bound = std::make_tuple(detail::bind(args)...);
-      for (idx_t x = 0; x < n; ++x)
-        std::apply([&](auto&... bs) { kernel(bs.at(elements[static_cast<std::size_t>(x)])...); },
-                   bound);
-      std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
-      continue;
-    }
-    const int team = pool->size();
-    using BoundTuple = decltype(std::make_tuple(detail::bind(args)...));
-    std::vector<BoundTuple> results(static_cast<std::size_t>(team),
-                                    std::make_tuple(detail::bind(args)...));
-    pool->run([&](int tid) {
-      auto& bound = results[static_cast<std::size_t>(tid)];
-      const auto [lo, hi] = pool->chunk(0, n, tid);
-      for (idx_t x = lo; x < hi; ++x)
-        std::apply([&](auto&... bs) { kernel(bs.at(elements[static_cast<std::size_t>(x)])...); },
-                   bound);
-    });
-    for (auto& bound : results)
-      std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
-  }
-  record(rt, meta, set, t.elapsed(), /*colored=*/true, args...);
-}
-
+/// The loop's time and trace span cover the whole call, including a
+/// Colored loop's first-use plan build.
 template <class Kernel, class... Args>
 void par_loop(Runtime& rt, const LoopMeta& meta, const Set& set, Mode mode,
               Kernel&& kernel, Args... args) {
-  if (mode == Mode::Colored) {
-    std::vector<const Map*> maps;
-    (
-        [&] {
-          if (const Map* m = detail::inc_map(args)) maps.push_back(m);
-        }(),
-        ...);
-    if (maps.empty()) {
-      // No races: a direct loop; fall through to a single "color".
-      Coloring all;
-      all.num_colors = 1;
-      all.by_color.resize(1);
-      all.by_color[0].reserve(static_cast<std::size_t>(set.size()));
-      for (idx_t e = 0; e < set.size(); ++e) all.by_color[0].push_back(e);
-      par_loop_colored(rt, meta, set, all, kernel, args...);
-      return;
-    }
-    const Coloring coloring = color_set(set, maps);
-    par_loop_colored(rt, meta, set, coloring, kernel, args...);
-    return;
-  }
-
   Timer t;
   trace::TraceSpan span(trace::Cat::Kernel, meta.name);
+  if (mode == Mode::Colored) {
+    detail::run_colored(rt, set, kernel, args...);
+    record(rt, meta, set, t.elapsed(), args...);
+    return;
+  }
   auto bound = std::make_tuple(detail::bind(args)...);
   const idx_t n = set.size();
   if (mode == Mode::Serial) {
@@ -505,13 +517,13 @@ void par_loop(Runtime& rt, const LoopMeta& meta, const Set& set, Mode mode,
     }
   }
   std::apply([](auto&... bs) { (bs.merge(), ...); }, bound);
-  record(rt, meta, set, t.elapsed(), /*colored=*/false, args...);
+  record(rt, meta, set, t.elapsed(), args...);
 }
 
-/// Instrumentation shared by both entry points.
+/// Per-call instrumentation of par_loop.
 template <class... Args>
 void record(Runtime& rt, const LoopMeta& meta, const Set& set,
-            seconds_t elapsed, bool colored, const Args&... args) {
+            seconds_t elapsed, const Args&... args) {
   LoopRecord& rec = rt.instr().loop(meta.name);
   ++rec.calls;
   rec.points += static_cast<count_t>(set.size());
@@ -526,7 +538,6 @@ void record(Runtime& rt, const LoopMeta& meta, const Set& set,
   const bool any_ind = (detail::is_indirect(args) || ...);
   rec.pattern = any_inc ? Pattern::GatherScatter
                         : (any_ind ? Pattern::Indirect : Pattern::Streaming);
-  (void)colored;
   if (datmove::enabled() && set.size() > 0) {
     (detail::datmove_record(rt.instr(), meta.name, set.size(), args), ...);
     rt.instr().datmove_emit_counter();

@@ -3,6 +3,8 @@
 // and dats (per-element data of small fixed dimension).
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,34 @@
 
 namespace bwlab::op2 {
 
+/// Process-unique identity of a Set or Map, the key of the execution-plan
+/// cache. Every construction, copy and assignment draws a fresh value (a
+/// move renews the source's too), so an id never names two different
+/// contents, not even for an object reusing a freed object's address.
+class UniqueId {
+ public:
+  UniqueId() : v_(next()) {}
+  UniqueId(const UniqueId&) : v_(next()) {}
+  UniqueId(UniqueId&& o) noexcept : v_(next()) { o.v_ = next(); }
+  UniqueId& operator=(const UniqueId&) {
+    v_ = next();
+    return *this;
+  }
+  UniqueId& operator=(UniqueId&& o) noexcept {
+    v_ = next();
+    o.v_ = next();
+    return *this;
+  }
+  std::uint64_t value() const { return v_; }
+
+ private:
+  static std::uint64_t next() {
+    static std::atomic<std::uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  std::uint64_t v_;
+};
+
 /// A set of mesh entities.
 class Set {
  public:
@@ -21,10 +51,12 @@ class Set {
   }
   const std::string& name() const { return name_; }
   idx_t size() const { return size_; }
+  std::uint64_t id() const { return id_.value(); }
 
  private:
   std::string name_;
   idx_t size_;
+  UniqueId id_;
 };
 
 /// A mapping from each element of `from` to `arity` elements of `to`.
@@ -51,6 +83,7 @@ class Map {
     return data_[static_cast<std::size_t>(element * arity_ + slot)];
   }
   const std::vector<idx_t>& raw() const { return data_; }
+  std::uint64_t id() const { return id_.value(); }
 
  private:
   std::string name_;
@@ -58,6 +91,7 @@ class Map {
   const Set* to_;
   int arity_;
   std::vector<idx_t> data_;
+  UniqueId id_;
 };
 
 /// Per-element data: `dim` values of type T per element of `set`.

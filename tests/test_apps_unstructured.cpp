@@ -50,6 +50,21 @@ TEST_P(MgCfdModes, AgreesWithSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, MgCfdModes, ::testing::Values(1, 2));
 
+TEST(MgCfd, ColoredBitwiseEqualAcrossTeamSizes) {
+  // Colored results depend on the execution plan only. n=24 has ~80 face
+  // blocks, so every color's blocks are split over the team.
+  Options o;
+  o.n = 24;
+  o.iterations = 3;
+  o.exec_mode = 2;
+  o.threads = 1;
+  const Result ref = mgcfd::run(o);
+  for (int threads : {2, 3, 4, 8}) {
+    o.threads = threads;
+    EXPECT_EQ(mgcfd::run(o).checksum, ref.checksum) << threads;
+  }
+}
+
 TEST(MgCfd, PerturbationDecaysTowardFreeStream) {
   Options o;
   o.n = 10;
@@ -159,6 +174,19 @@ TEST(Volna, DistributedLakeAtRestStillWellBalanced) {
   o.ranks = 3;
   const Result r = volna::run_lake_at_rest(o);
   EXPECT_LT(r.metric("speed_max"), 5e-3);
+}
+
+TEST(Volna, ColoredBitwiseEqualAcrossTeamSizes) {
+  Options o;
+  o.n = 64;  // ~48 edge blocks
+  o.iterations = 8;
+  o.exec_mode = 2;
+  o.threads = 1;
+  const Result ref = volna::run(o);
+  for (int threads : {2, 3, 4, 8}) {
+    o.threads = threads;
+    EXPECT_EQ(volna::run(o).checksum, ref.checksum) << threads;
+  }
 }
 
 TEST(Volna, ColoredModeMatchesWithinRoundoff) {

@@ -1,11 +1,13 @@
 // Tests for the mini-OP2 unstructured substrate: sets/maps/dats, greedy
-// coloring, the three execution modes, RCB partitioning, and the
-// synthetic mesh generators (geometry closure invariants, multigrid maps).
+// coloring and execution plans, the three execution modes, RCB
+// partitioning, and the synthetic mesh generators (geometry closure
+// invariants, multigrid maps).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
+#include "common/metrics.hpp"
 #include "op2/meshgen.hpp"
 #include "op2/par_loop.hpp"
 #include "op2/partition.hpp"
@@ -158,17 +160,123 @@ TEST(Coloring, DetectsInvalidManually) {
   EXPECT_FALSE(bad.validate({&m}));
 }
 
+// --- Execution plans ----------------------------------------------------------
+
+TEST(Plan, HexFacesGetBlockColoring) {
+  const HexMesh m = make_hex_mesh(24, 24, 12, 5);  // permuted cells
+  Set cells("cells", m.ncells), faces("faces", m.nfaces);
+  Map fc("face_cells", faces, cells, 2, m.face_cells);
+  const Plan p = build_plan(faces, {&fc});
+  EXPECT_EQ(p.block_size, kPlanBlock);
+  EXPECT_GT(p.num_colors(), 1);
+  EXPECT_LE(p.num_colors(), 16);
+  EXPECT_TRUE(p.validate({&fc}));
+}
+
+TEST(Plan, ScatteredFineToCoarseFallsBackToElementBlocks) {
+  // Fine cells are randomly permuted, so each of the 216 blocks of fine
+  // cells hits coarse cells shared with nearly every other block.
+  const idx_t ni = 48, nj = 48, nk = 24;
+  const auto perm = hex_permutation(ni * nj * nk, 5);
+  const MgLevel lvl = coarsen_hex(ni, nj, nk, perm, 9);
+  Set fine("fine", ni * nj * nk), coarse("coarse", lvl.coarse.ncells);
+  Map f2c("f2c", fine, coarse, 1, lvl.fine_to_coarse);
+  const Plan p = build_plan(fine, {&f2c});
+  EXPECT_EQ(p.block_size, 1);
+  EXPECT_EQ(p.num_colors(), 8);  // eight fine cells per coarse cell
+  EXPECT_TRUE(p.validate({&f2c}));
+}
+
+TEST(Plan, TriEdgesValidAndCoverTheSet) {
+  for (std::uint64_t seed : {0u, 3u, 17u}) {
+    const TriMesh m = make_tri_mesh(64, 40, 1.0, 1.0, seed);
+    Set cells("cells", m.ncells), edges("edges", m.nedges);
+    Map e2c("e2c", edges, cells, 2, m.edge_cells);
+    const Plan p = build_plan(edges, {&e2c});
+    EXPECT_EQ(p.block_size, kPlanBlock) << seed;
+    EXPECT_TRUE(p.validate({&e2c})) << seed;
+    EXPECT_EQ(static_cast<idx_t>(p.blocks.size()),
+              ceil_div(m.nedges, kPlanBlock));
+  }
+}
+
+TEST(Plan, ValidateCatchesBadPlans) {
+  const TriMesh m = make_tri_mesh(64, 40, 1.0, 1.0, 3);
+  Set cells("cells", m.ncells), edges("edges", m.nedges);
+  Map e2c("e2c", edges, cells, 2, m.edge_cells);
+  const Plan good = build_plan(edges, {&e2c});
+  ASSERT_TRUE(good.validate({&e2c}));
+  ASSERT_GE(good.num_colors(), 2);
+
+  Plan merged = good;  // colors 0 and 1 fused: neighbouring blocks race
+  merged.color_start.erase(merged.color_start.begin() + 1);
+  EXPECT_FALSE(merged.validate({&e2c}));
+
+  Plan twice = good;  // one block run twice, another never
+  twice.blocks[1] = twice.blocks[0];
+  EXPECT_FALSE(twice.validate({&e2c}));
+
+  // Two one-element blocks hitting the same target in one color.
+  Set a("a", 2), c("c", 1);
+  Map both("both", a, c, 1, {0, 0});
+  Plan bad;
+  bad.set_size = 2;
+  bad.blocks = {0, 1};
+  bad.color_start = {0, 2};
+  EXPECT_FALSE(bad.validate({&both}));
+  bad.block_size = 2;  // one block of both elements runs serially: fine
+  bad.blocks = {0};
+  bad.color_start = {0, 1};
+  EXPECT_TRUE(bad.validate({&both}));
+}
+
+TEST(PlanCache, OnePlanPerSetAndMapsAcrossCalls) {
+  Counter& built = MetricsRegistry::global().counter("op2.plans_built");
+  const TriMesh m = make_tri_mesh(16, 16, 1.0, 1.0, 7);
+  Set cells("cells", m.ncells), edges("edges", m.nedges);
+  Map e2c("e2c", edges, cells, 2, m.edge_cells);
+  Dat<double> acc(cells, "acc", 1, 0.0);
+  Runtime rt(2);
+  const auto inc_loop = [&](const Map& map) {
+    par_loop(rt, {"inc", 1.0}, edges, Mode::Colored,
+             [](double* a, double* b) {
+               a[0] += 1.0;
+               b[0] += 1.0;
+             },
+             inc_via(acc, map, 0), inc_via(acc, map, 1));
+  };
+  const count_t before = built.value();
+  for (int i = 0; i < 5; ++i) inc_loop(e2c);
+  EXPECT_EQ(rt.plans().size(), 1u);
+  EXPECT_EQ(built.value() - before, 1u);
+
+  // A new map over the same set, even with equal entries, is a new key.
+  const Map same_entries("e2c_again", edges, cells, 2, m.edge_cells);
+  inc_loop(same_entries);
+  inc_loop(same_entries);
+  EXPECT_EQ(rt.plans().size(), 2u);
+  EXPECT_EQ(built.value() - before, 2u);
+  const Map copy = e2c;  // copies draw fresh ids too
+  EXPECT_NE(copy.id(), e2c.id());
+
+  // Direct loops need no plan.
+  par_loop(rt, {"direct", 1.0}, cells, Mode::Colored,
+           [](double* a) { a[0] *= 0.5; }, read_write(acc));
+  EXPECT_EQ(rt.plans().size(), 2u);
+}
+
 // --- par_loop modes -----------------------------------------------------------
 
 struct EdgeSumFixture {
-  TriMesh mesh = make_tri_mesh(10, 8, 1.0, 1.0, 21);
+  TriMesh mesh;
   Set cells{"cells", mesh.ncells};
   Set edges{"edges", mesh.nedges};
   Map e2c{"e2c", edges, cells, 2, mesh.edge_cells};
   Dat<double> q{cells, "q", 2};
   Dat<double> acc{cells, "acc", 2};
 
-  EdgeSumFixture() {
+  explicit EdgeSumFixture(idx_t nx = 10, idx_t ny = 8)
+      : mesh(make_tri_mesh(nx, ny, 1.0, 1.0, 21)) {
     q.fill_indexed([](idx_t e, int c) { return double(e % 13) + 0.5 * c; });
     acc.fill(0.0);
   }
@@ -212,6 +320,21 @@ TEST(ParLoopModes, SerialVecColoredAgree) {
     EdgeSumFixture f;
     f.run(rt, Mode::Colored);
     EXPECT_NEAR(f.checksum(), ref, std::abs(ref) * 1e-12);
+  }
+}
+
+TEST(ParLoopModes, ColoredBitwiseEqualAcrossTeamSizes) {
+  // Increments into each target follow the plan's order whatever the
+  // team. 60x40 quads give 30 blocks of edges, so colors split over teams.
+  double ref = 0;
+  for (int threads : {1, 2, 3, 4, 8}) {
+    Runtime rt(threads);
+    EdgeSumFixture f(60, 40);
+    // Inexact values, so a different increment order shows in the bits.
+    f.q.fill_indexed([](idx_t e, int c) { return std::sin(0.1 * e + c); });
+    for (int i = 0; i < 3; ++i) f.run(rt, Mode::Colored);
+    if (threads == 1) ref = f.checksum();
+    EXPECT_EQ(f.checksum(), ref) << threads;
   }
 }
 
