@@ -166,7 +166,7 @@ class Runner {
     if (!cli_.has("bench-json")) return "";
     std::string path = cli_.get("bench-json", "");
     if (path.empty()) path = "BENCH_" + suite().suite + ".json";
-    benchjson::write_file(path, file_);
+    benchjson::save(path, file_);
     std::cout << "bench results written to " << path << "\n";
     return path;
   }

@@ -42,14 +42,15 @@
 //                        "drop:rank=1,msg=3;crash:rank=2,step=4" (seeded
 //                        by --seed; see src/common/fault.hpp)
 //   --watchdog-ms=G      deadlock watchdog grace period (0 disables)
-//   --checkpoint-every=K checkpoint fields every K steps, restart after
-//                        an injected rank crash (CloverLeaf 2D)
+//   --checkpoint-every=K checkpoint fields every K steps; an injected rank
+//                        crash rolls back from buddy mirrors (CloverLeaf
+//                        2D/3D, miniWeather)
 //   --nan-guard=0|1|2    post-loop NaN/Inf guard: off / report / abort
 //
 // Resilience (bwresil):
 //   --resil              resilient Comm (timeout/retry/backoff + replay)
-//                        and online localized rollback via buddy
-//                        checkpoints instead of supervisor restart
+//                        and crash rollback via buddy checkpoints
+//                        (without a checkpoint, back to step 0)
 //   --retry-max=N        receive retries before giving up (default 8)
 //   --backoff-us=U       initial retry backoff, doubles per attempt
 //   --degraded           when retries exhaust, continue with stale halo
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
                  "--place=auto|hbm|ddr|firsttouch\n"
               << "  --machine=ID --attr-tol=X\n"
               << "  --faults=SPEC --watchdog-ms=G --checkpoint-every=K\n"
-              << "  --max-restarts=R --nan-guard=0|1|2\n"
+              << "  --nan-guard=0|1|2\n"
               << "  --resil --retry-max=N --backoff-us=U --degraded\n"
               << "  --live --live-interval-ms=M --live-status "
                  "--live-listen=PORT|unix:PATH\n"
@@ -391,9 +392,10 @@ int main(int argc, char** argv) {
                   << " tag=" << e.tag;
       std::cout << "\n";
     }
-    if (result.metric("restarts") > 0)
-      std::cout << "recovered via checkpoint/restart: "
-                << result.metric("restarts") << " restart(s)\n";
+    if (result.metric("rollbacks") > 0)
+      std::cout << "recovered via rollback: " << result.metric("rollbacks")
+                << " rollback(s), " << result.metric("buddy_restores")
+                << " buddy restore(s)\n";
   }
   if (rob.resil) {
     const resil::Stats st = resil::stats();

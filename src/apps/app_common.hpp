@@ -34,12 +34,11 @@ struct Options {
   // --- Robustness (bwfault) --------------------------------------------------
   /// Progress-watchdog grace period for distributed runs; <= 0 disables.
   double watchdog_ms = 1000.0;
-  /// Checkpoint the field state every K steps (0 = off). Enables the
-  /// crash-recovery supervisor in apps that support restart (CloverLeaf
-  /// 2D); an injected rank crash then restarts from the last checkpoint.
+  /// Checkpoint the field state every K steps (0 = off). Arms rollback
+  /// in the apps that run apps::ResilientLoop (CloverLeaf 2D/3D,
+  /// miniWeather): an injected rank crash then rolls every rank back to
+  /// the last checkpoint, the crashed one from its buddy's mirror.
   int checkpoint_every = 0;
-  /// Restart attempts after recoverable (injected-crash) failures.
-  int max_restarts = 2;
   /// Post-loop NaN/Inf field guard: 0 off, 1 report, 2 abort.
   int nan_guard = 0;
 };

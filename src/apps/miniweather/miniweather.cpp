@@ -4,11 +4,7 @@
 #include <cmath>
 
 #include "apps/resilient_loop.hpp"
-#include "common/fault.hpp"
-#include "common/metrics.hpp"
-#include "common/resil.hpp"
 #include "common/timer.hpp"
-#include "common/trace.hpp"
 #include "ops/checkpoint.hpp"
 #include "ops/par_loop.hpp"
 
@@ -306,15 +302,10 @@ struct Solver {
 Result run(const Options& opt) {
   apply_robustness(opt);
   Result result;
-  // Per-rank checkpoint stores (the four evolving DatArrs, ghosts
-  // included), outliving the rank threads as in CloverLeaf.
-  std::vector<ops::CheckpointStore> stores(
-      static_cast<std::size_t>(opt.ranks > 0 ? opt.ranks : 1));
-  if (resil::active()) resil::buddy_resize(opt.ranks > 0 ? opt.ranks : 1);
+  const RunRecovery recovery(opt);
 
   auto run_rank = [&](par::Comm* comm) {
     const int rank = comm ? comm->rank() : 0;
-    ops::CheckpointStore& store = stores[static_cast<std::size_t>(rank)];
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
@@ -325,17 +316,11 @@ Result run(const Options& opt) {
       for (DatArr* a : {&s.state, &s.state_tmp, &s.fx, &s.fz})
         for (ops::Dat<double>& d : *a) fn(d);
     };
-    int start = 0;
-    if (store.valid()) {
-      trace::TraceSpan span(trace::Cat::Fault, "recovery:restore");
-      each_field([&store](ops::Dat<double>& d) { store.restore(d); });
-      start = static_cast<int>(store.step()) + 1;
-    }
     Timer timer;
+    ops::CheckpointStore store;
     ResilientLoop lp;
     lp.rank = rank;
     lp.comm = comm;
-    lp.start = start;
     lp.iterations = opt.iterations;
     lp.checkpoint_every = opt.checkpoint_every;
     lp.store = &store;
@@ -364,37 +349,13 @@ Result run(const Options& opt) {
     }
   };
 
-  // Crash-recovery supervisor (plain protocol only; the bwresil loop
-  // recovers online and no restart ever fires).
-  int restarts = 0;
-  for (;;) {
-    try {
-      if (opt.ranks > 1) {
-        result.rank_stats =
-            run_distributed(opt, [&](par::Comm& c) { run_rank(&c); });
-      } else {
-        run_rank(nullptr);
-      }
-      break;
-    } catch (const par::RankFailure&) {
-      if (opt.checkpoint_every <= 0 || restarts >= opt.max_restarts) throw;
-    } catch (const par::MultiRankError& e) {
-      if (!e.any_rank_failure() || opt.checkpoint_every <= 0 ||
-          restarts >= opt.max_restarts)
-        throw;
-    }
-    ++restarts;
-    trace::TraceSpan span(trace::Cat::Fault, "recovery:restart");
-    static Counter& counter =
-        MetricsRegistry::global().counter("recovery.restarts");
-    counter.inc();
+  if (opt.ranks > 1) {
+    result.rank_stats =
+        run_distributed(opt, [&](par::Comm& c) { run_rank(&c); });
+  } else {
+    run_rank(nullptr);
   }
-  result.metrics["restarts"] = restarts;
-  if (resil::active()) {
-    const resil::Stats rs = resil::stats();
-    result.metrics["rollbacks"] = static_cast<double>(rs.rollbacks);
-    result.metrics["buddy_restores"] = static_cast<double>(rs.buddy_restores);
-  }
+  recovery.report(result);
   return result;
 }
 

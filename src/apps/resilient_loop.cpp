@@ -4,7 +4,6 @@
 #include "common/fault.hpp"
 #include "common/live.hpp"
 #include "common/metrics.hpp"
-#include "common/resil.hpp"
 #include "common/trace.hpp"
 
 namespace bwlab::apps {
@@ -14,6 +13,20 @@ namespace {
 bool checkpoint_due(const ResilientLoop& lp, long long it) {
   return lp.checkpoint_every > 0 && lp.store != nullptr &&
          (it + 1) % lp.checkpoint_every == 0 && it + 1 < lp.iterations;
+}
+
+/// The armed loop's step top: fires this rank's step faults, then agrees
+/// across ranks on which rank failed (-1 when all are healthy).
+int health_check(const ResilientLoop& lp, long long it) {
+  double failed = -1;
+  try {
+    fault::on_step(lp.rank, it);
+    live::on_step(lp.rank);
+  } catch (const par::RankFailure&) {
+    failed = lp.rank;
+  }
+  if (lp.comm != nullptr) failed = lp.comm->allreduce_max(failed);
+  return static_cast<int>(failed);
 }
 
 /// Localized rollback after the health check reported a failed rank.
@@ -51,50 +64,54 @@ long long rollback(const ResilientLoop& lp, int failed_rank) {
 
 }  // namespace
 
+bool rollback_armed(int checkpoint_every) {
+  return checkpoint_every > 0 || resil::active();
+}
+
 std::vector<long long> run_resilient_loop(const ResilientLoop& lp) {
   BWLAB_REQUIRE(lp.step != nullptr, "resilient loop needs a step hook");
+  const bool armed = rollback_armed(lp.checkpoint_every);
   std::vector<long long> executed;
-  if (!resil::active()) {
-    // Plain protocol: crashes propagate to the app's supervisor.
-    for (long long it = lp.start; it < lp.iterations; ++it) {
-      fault::on_step(lp.rank, it);
-      live::on_step(lp.rank);
-      lp.step(it);
-      executed.push_back(it);
-      if (checkpoint_due(lp, it)) lp.capture(it);
-    }
-    return executed;
-  }
-  // Localized protocol. Iterations stay in lockstep across ranks (one
-  // health allreduce per loop turn), so the allreduce counts always
-  // match up.
-  long long it = lp.start;
+  // Armed iterations stay in lockstep across ranks (one health allreduce
+  // per loop turn), so the allreduce counts always match up.
+  long long it = 0;
   while (it < lp.iterations) {
-    int my_failure = -1;
-    try {
+    if (armed) {
+      const int failed = health_check(lp, it);
+      if (failed >= 0) {
+        it = rollback(lp, failed);
+        continue;
+      }
+      // Crash faults only fire at step tops, so this step runs
+      // crash-free on every rank; drops and delays inside it are
+      // survived by the resilient Comm layer when a policy is installed.
+    } else {
       fault::on_step(lp.rank, it);
       live::on_step(lp.rank);
-    } catch (const par::RankFailure&) {
-      my_failure = lp.rank;
     }
-    double failed = my_failure;
-    if (lp.comm != nullptr) failed = lp.comm->allreduce_max(failed);
-    if (failed >= 0) {
-      it = rollback(lp, static_cast<int>(failed));
-      continue;
-    }
-    // Health check passed: crash faults only fire at step tops, so this
-    // step runs crash-free on every rank; drops and delays inside it
-    // are survived by the resilient Comm layer.
     lp.step(it);
     executed.push_back(it);
-    if (checkpoint_due(lp, it)) {
+    if (checkpoint_due(lp, it)) {  // implies armed
       lp.capture(it);
       resil::buddy_mirror(lp.rank, *lp.store);
     }
     ++it;
   }
   return executed;
+}
+
+RunRecovery::RunRecovery(const Options& opt)
+    : armed_(rollback_armed(opt.checkpoint_every)), before_(resil::stats()) {
+  if (armed_) resil::buddy_resize(opt.ranks > 0 ? opt.ranks : 1);
+}
+
+void RunRecovery::report(Result& result) const {
+  if (!armed_) return;
+  const resil::Stats now = resil::stats();
+  result.metrics["rollbacks"] =
+      static_cast<double>(now.rollbacks - before_.rollbacks);
+  result.metrics["buddy_restores"] =
+      static_cast<double>(now.buddy_restores - before_.buddy_restores);
 }
 
 }  // namespace bwlab::apps

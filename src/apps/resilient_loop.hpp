@@ -1,27 +1,27 @@
-// bwresil: the shared resilient step loop of the distributed apps.
+// bwresil: the shared step loop of the distributed apps, and the one way
+// a crashed rank is recovered.
 //
-// One loop shape, two protocols:
+// Rollback is armed when checkpointing is on (checkpoint_every > 0) or a
+// resil policy is installed; rollback_armed() is the single test.
 //
-//  * plain (no resil policy): fault::on_step at the top of every step; a
-//    RankFailure propagates out to the app's checkpoint/restart
-//    supervisor, which relaunches the whole world (the PR-2 path,
-//    unchanged).
+//  * unarmed: fault::on_step at the top of every step and nothing else —
+//    no extra communication, and an injected crash propagates out of
+//    run_ranks as a RankFailure.
 //
-//  * localized (resil policy active): every iteration opens with a
-//    health allreduce. Crash faults fire only at step tops
-//    (fault::on_step), so a rank that catches its own RankFailure flags
-//    itself in that allreduce *before* any step work starts — no
-//    point-to-point traffic is ever in flight at rollback time. All
-//    ranks then roll back symmetrically to the last committed
-//    checkpoint: the failed rank restores its store from its buddy's
-//    mirror (rank+1 mod N holds the serialized bytes), surviving ranks
-//    restore from their local stores, and everyone resumes at
-//    checkpoint step + 1 (or re-initializes to step 0 when no
-//    checkpoint exists). No supervisor restart, no world teardown.
+//  * armed: every iteration opens with a health allreduce. Crash faults
+//    fire only at step tops (fault::on_step), so a rank that catches its
+//    own RankFailure flags itself in that allreduce *before* any step
+//    work starts — no point-to-point traffic is ever in flight at
+//    rollback time. All ranks then roll back symmetrically to the last
+//    committed checkpoint: the failed rank restores its store from its
+//    buddy's mirror (rank+1 mod N holds the serialized bytes), surviving
+//    ranks restore from their local stores, and everyone resumes at
+//    checkpoint step + 1 (or re-initializes to step 0 when no checkpoint
+//    exists). The world is never torn down.
 //
 // The health allreduce doubles as the per-step lockstep barrier that
 // keeps checkpoint steps, buddy mirrors and the resume step globally
-// agreed. Checkpoint commits additionally mirror the serialized store to
+// agreed. Every checkpoint commit also mirrors the serialized store to
 // the buddy board. The executed step sequence is returned so tests can
 // assert exact step accounting across recoveries.
 #pragma once
@@ -29,6 +29,8 @@
 #include <functional>
 #include <vector>
 
+#include "apps/app_common.hpp"
+#include "common/resil.hpp"
 #include "common/snapshot.hpp"
 #include "par/simmpi.hpp"
 
@@ -42,7 +44,6 @@ namespace bwlab::apps {
 struct ResilientLoop {
   int rank = 0;
   par::Comm* comm = nullptr;  ///< null for single-rank runs
-  long long start = 0;        ///< first step (supervisor restarts resume here)
   long long iterations = 0;
   int checkpoint_every = 0;   ///< commit every K completed steps (0 = off)
   fault::SnapshotStore* store = nullptr;  ///< this rank's checkpoint store
@@ -52,9 +53,27 @@ struct ResilientLoop {
   std::function<void()> reinit;
 };
 
-/// Runs the loop under the protocol the installed policies select and
-/// returns the sequence of steps this rank executed (rolled-back steps
-/// included, in execution order) — the step-accounting witness.
+/// True when a crash is recovered by rollback: checkpoints are on or a
+/// resil policy is installed.
+bool rollback_armed(int checkpoint_every);
+
+/// Runs the loop (armed or not, see above) and returns the sequence of
+/// steps this rank executed (rolled-back steps included, in execution
+/// order) — the step-accounting witness.
 std::vector<long long> run_resilient_loop(const ResilientLoop& lp);
+
+/// Per-run recovery bookkeeping for an app's run(). When rollback is
+/// armed for `opt`, construction sizes the buddy board for opt.ranks
+/// (discarding any earlier run's mirrors) and report() records this
+/// run's `rollbacks` and `buddy_restores` in the result.
+class RunRecovery {
+ public:
+  explicit RunRecovery(const Options& opt);
+  void report(Result& result) const;
+
+ private:
+  bool armed_;
+  resil::Stats before_;
+};
 
 }  // namespace bwlab::apps

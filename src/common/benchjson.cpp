@@ -1,15 +1,14 @@
 #include "common/benchjson.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 
 #ifndef BWLAB_GIT_SHA
@@ -160,163 +159,25 @@ void write(std::ostream& os, const ResultFile& f) {
   os << (first_suite ? "]" : "\n  ]") << "\n}\n";
 }
 
-void write_file(const std::string& path, const ResultFile& f) {
+void save(const std::string& path, const ResultFile& f) {
   std::ofstream os(path);
   BWLAB_REQUIRE(os.good(), "cannot open bench result file '" << path << "'");
   write(os, f);
   BWLAB_REQUIRE(os.good(), "failed writing bench results to '" << path << "'");
 }
 
-// --- Minimal JSON parser -----------------------------------------------------
-// Parses exactly the value grammar the writer above emits (plus
-// whitespace tolerance): objects, arrays, strings with \" and \\ escapes,
-// numbers, null. Good enough to round-trip our own files and to read
-// hand-edited baselines; anything else is a loud error.
-
 namespace {
 
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
+using json::Value;
 
-struct JsonValue {
-  enum class Kind { Null, Number, String, Object, Array } kind = Kind::Null;
-  double number = 0;
-  std::string string;
-  JsonObject object;
-  JsonArray array;
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    BWLAB_REQUIRE(pos_ == s_.size(),
-                  "trailing content in bench JSON at byte " << pos_);
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    BWLAB_REQUIRE(pos_ < s_.size(), "unexpected end of bench JSON");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    BWLAB_REQUIRE(peek() == c, "bench JSON: expected '"
-                                   << c << "' at byte " << pos_ << ", got '"
-                                   << s_[pos_] << "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 'n') {
-      BWLAB_REQUIRE(s_.compare(pos_, 4, "null") == 0,
-                    "bench JSON: bad literal at byte " << pos_);
-      pos_ += 4;
-      return {};
-    }
-    return number();
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonValue key = string_value();
-      expect(':');
-      v.object.emplace(std::move(key.string), value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    expect('"');
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    while (true) {
-      BWLAB_REQUIRE(pos_ < s_.size(), "unterminated string in bench JSON");
-      const char c = s_[pos_++];
-      if (c == '"') return v;
-      if (c == '\\') {
-        BWLAB_REQUIRE(pos_ < s_.size(), "unterminated escape in bench JSON");
-        v.string.push_back(s_[pos_++]);
-      } else {
-        v.string.push_back(c);
-      }
-    }
-  }
-
-  JsonValue number() {
-    skip_ws();
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double d = std::strtod(start, &end);
-    BWLAB_REQUIRE(end != start, "bench JSON: expected a number at byte "
-                                    << pos_);
-    pos_ += static_cast<std::size_t>(end - start);
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.number = d;
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue& require_field(const JsonObject& o, const char* key,
-                               JsonValue::Kind kind, const char* where) {
-  const auto it = o.find(key);
-  BWLAB_REQUIRE(it != o.end(),
+const Value& require_field(const Value& o, const char* key, Value::Kind kind,
+                           const char* where) {
+  const Value* v = o.find(key);
+  BWLAB_REQUIRE(v != nullptr,
                 "bench JSON: missing \"" << key << "\" in " << where);
-  BWLAB_REQUIRE(it->second.kind == kind,
-                "bench JSON: \"" << key << "\" in " << where
-                                 << " has the wrong type");
-  return it->second;
+  BWLAB_REQUIRE(v->kind == kind, "bench JSON: \"" << key << "\" in " << where
+                                                  << " has the wrong type");
+  return *v;
 }
 
 Better parse_better(const std::string& s) {
@@ -329,60 +190,48 @@ Better parse_better(const std::string& s) {
 
 }  // namespace
 
-ResultFile parse(const std::string& json) {
-  const JsonValue root = Parser(json).parse();
-  BWLAB_REQUIRE(root.kind == JsonValue::Kind::Object,
+ResultFile parse(const std::string& text) {
+  Value root;
+  try {
+    root = json::parse(text);
+  } catch (const Error& e) {
+    throw Error(std::string("bench JSON: ") + e.what());
+  }
+  BWLAB_REQUIRE(root.kind == Value::Kind::Obj,
                 "bench JSON: top level must be an object");
   ResultFile f;
   f.schema_version = static_cast<int>(
-      require_field(root.object, "schema_version", JsonValue::Kind::Number,
-                    "result file")
-          .number);
+      require_field(root, "schema_version", Value::Kind::Num, "result file")
+          .num);
   BWLAB_REQUIRE(f.schema_version == kSchemaVersion,
                 "bench JSON schema_version " << f.schema_version
                                              << " is not the supported "
                                              << kSchemaVersion);
-  f.git_sha = require_field(root.object, "git_sha", JsonValue::Kind::String,
-                            "result file")
-                  .string;
-  for (const JsonValue& sv :
-       require_field(root.object, "suites", JsonValue::Kind::Array,
-                     "result file")
-           .array) {
-    BWLAB_REQUIRE(sv.kind == JsonValue::Kind::Object,
+  f.git_sha =
+      require_field(root, "git_sha", Value::Kind::Str, "result file").str;
+  for (const Value& sv :
+       require_field(root, "suites", Value::Kind::Arr, "result file").arr) {
+    BWLAB_REQUIRE(sv.kind == Value::Kind::Obj,
                   "bench JSON: suites[] entries must be objects");
     Suite s;
-    s.suite = require_field(sv.object, "suite", JsonValue::Kind::String,
-                            "suite")
-                  .string;
-    s.machine = require_field(sv.object, "machine", JsonValue::Kind::String,
-                              "suite")
-                    .string;
-    for (const JsonValue& mv :
-         require_field(sv.object, "metrics", JsonValue::Kind::Array, "suite")
-             .array) {
-      BWLAB_REQUIRE(mv.kind == JsonValue::Kind::Object,
+    s.suite = require_field(sv, "suite", Value::Kind::Str, "suite").str;
+    s.machine = require_field(sv, "machine", Value::Kind::Str, "suite").str;
+    for (const Value& mv :
+         require_field(sv, "metrics", Value::Kind::Arr, "suite").arr) {
+      BWLAB_REQUIRE(mv.kind == Value::Kind::Obj,
                     "bench JSON: metrics[] entries must be objects");
       Metric m;
-      m.name = require_field(mv.object, "name", JsonValue::Kind::String,
-                             "metric")
-                   .string;
-      m.unit = require_field(mv.object, "unit", JsonValue::Kind::String,
-                             "metric")
-                   .string;
+      m.name = require_field(mv, "name", Value::Kind::Str, "metric").str;
+      m.unit = require_field(mv, "unit", Value::Kind::Str, "metric").str;
       m.better = parse_better(
-          require_field(mv.object, "better", JsonValue::Kind::String, "metric")
-              .string);
-      for (const JsonValue& x :
-           require_field(mv.object, "samples", JsonValue::Kind::Array,
-                         "metric")
-               .array) {
-        BWLAB_REQUIRE(x.kind == JsonValue::Kind::Number ||
-                          x.kind == JsonValue::Kind::Null,
-                      "bench JSON: samples must be numbers");
-        m.samples.push_back(x.kind == JsonValue::Kind::Number
-                                ? x.number
-                                : std::nan(""));
+          require_field(mv, "better", Value::Kind::Str, "metric").str);
+      for (const Value& x :
+           require_field(mv, "samples", Value::Kind::Arr, "metric").arr) {
+        BWLAB_REQUIRE(
+            x.kind == Value::Kind::Num || x.kind == Value::Kind::Null,
+            "bench JSON: samples must be numbers");
+        m.samples.push_back(x.kind == Value::Kind::Num ? x.num
+                                                       : std::nan(""));
       }
       BWLAB_REQUIRE(!m.samples.empty(), "bench JSON: metric '"
                                             << m.name << "' has no samples");
@@ -393,7 +242,7 @@ ResultFile parse(const std::string& json) {
   return f;
 }
 
-ResultFile read_file(const std::string& path) {
+ResultFile load(const std::string& path) {
   std::ifstream is(path);
   BWLAB_REQUIRE(is.good(), "cannot read bench result file '" << path << "'");
   std::ostringstream buf;

@@ -83,12 +83,13 @@ int repetitions(int fallback);
 
 void write(std::ostream& os, const ResultFile& f);
 /// write() to `path`; throws bwlab::Error if unwritable.
-void write_file(const std::string& path, const ResultFile& f);
+void save(const std::string& path, const ResultFile& f);
 
 /// Parses a result file; throws bwlab::Error on malformed JSON, missing
 /// fields, or an unsupported schema_version.
-ResultFile parse(const std::string& json);
-ResultFile read_file(const std::string& path);
+ResultFile parse(const std::string& text);
+/// parse() of the file at `path`; errors are prefixed with the path.
+ResultFile load(const std::string& path);
 
 /// Concatenates the suites of several files (e.g. one per gb_* binary)
 /// into one baseline file; throws on duplicate suite names.

@@ -114,8 +114,10 @@ void buddy_mirror(int rank, const fault::SnapshotStore& store) {
       MetricsRegistry::global().counter("resil.buddy_bytes_mirrored");
   mirrored.inc(static_cast<count_t>(bytes.size()));
   std::lock_guard<std::mutex> lock(g_mu);
-  BWLAB_REQUIRE(static_cast<std::size_t>(rank) < g_board.size(),
-                "buddy board not sized for rank " << rank);
+  if (static_cast<std::size_t>(rank) >= g_board.size()) {
+    g_board.resize(static_cast<std::size_t>(rank) + 1);
+    g_board_step.resize(static_cast<std::size_t>(rank) + 1, -1);
+  }
   g_board[static_cast<std::size_t>(rank)] = std::move(bytes);
   g_board_step[static_cast<std::size_t>(rank)] = store.step();
 }

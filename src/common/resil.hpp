@@ -15,7 +15,9 @@
 //    SnapshotStore bytes (ghosts included) to rank+1 mod N after every
 //    checkpoint commit, so a crashed rank restores from its buddy while
 //    the surviving ranks roll back locally to the same step: recovery is
-//    localized, no supervisor world-restart;
+//    localized and the world is never torn down. The board serves every
+//    armed rollback (checkpoints on or a policy installed), so it works
+//    without the Comm policy;
 //
 //  * deterministic accounting — retry, degraded and rollback events are
 //    counted (stats()), and recovery work is emitted as
@@ -107,7 +109,8 @@ inline int buddy_of(int rank, int nranks) { return (rank + 1) % nranks; }
 void buddy_resize(int nranks);
 
 /// Serializes `store` (committed snapshot, ghosts included) into slot
-/// `rank`. Emits a "recovery:mirror" trace span.
+/// `rank`, growing the board when `rank` is past its end. Emits a
+/// "recovery:mirror" trace span.
 void buddy_mirror(int rank, const fault::SnapshotStore& store);
 
 /// True when slot `rank` holds a mirror.

@@ -1,8 +1,6 @@
 #include "common/snapshot.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <iterator>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -142,26 +140,6 @@ void SnapshotStore::deserialize(const std::vector<char>& bytes) {
   valid_ = true;
   in_txn_ = false;
   staging_.clear();
-}
-
-void SnapshotStore::write_file(const std::string& path) const {
-  const std::vector<char> bytes = serialize();
-  std::ofstream os(path, std::ios::binary);
-  BWLAB_REQUIRE(os.good(), "cannot open checkpoint file '" << path << "'");
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  BWLAB_REQUIRE(os.good(), "failed writing checkpoint to '" << path << "'");
-}
-
-void SnapshotStore::read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  BWLAB_REQUIRE(is.good(), "cannot open checkpoint file '" << path << "'");
-  std::vector<char> bytes{std::istreambuf_iterator<char>(is),
-                          std::istreambuf_iterator<char>()};
-  try {
-    deserialize(bytes);
-  } catch (const Error& e) {
-    throw Error("checkpoint file '" + path + "': " + e.what());
-  }
 }
 
 }  // namespace bwlab::fault

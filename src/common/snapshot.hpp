@@ -1,4 +1,4 @@
-// SnapshotStore: the byte-level core of bwfault checkpoint/restart.
+// SnapshotStore: the byte-level core of bwfault checkpointing.
 //
 // A store holds one committed snapshot of a set of named byte buffers
 // (one per field) plus the application step it was taken at. Capture is
@@ -6,12 +6,11 @@
 // mid-capture (an injected crash, say) can never leave a half-written
 // checkpoint behind: restore always sees the last *committed* state.
 //
-// The typed front-ends live with their containers: ops::CheckpointStore
-// snapshots structured Dat allocations (including ghost cells) and
-// op2::CheckpointStore snapshots flat unstructured dats. Stores are
-// per-rank and not thread-safe; in a run_ranks execution each rank owns
-// its own store, and the supervisor keeps the vector of stores alive
-// across restart attempts.
+// The typed front-end ops::CheckpointStore snapshots structured Dat
+// allocations (including ghost cells). Stores are per-rank and not
+// thread-safe; in a run_ranks execution each rank owns its own store,
+// and serialize()/deserialize() carry a snapshot to and from the rank's
+// buddy mirror (common/resil.hpp) for crash rollback.
 #pragma once
 
 #include <cstdint>
@@ -49,21 +48,15 @@ class SnapshotStore {
   /// Discards committed and staged state.
   void reset();
 
-  /// Serializes the committed snapshot to a byte buffer — the exact bytes
-  /// write_file would emit. This is the bwresil buddy-mirror wire format:
-  /// a rank ships these bytes to its buddy, and a restore on any store
-  /// (same fields, same shapes) is bitwise-faithful, ghosts included.
+  /// Serializes the committed snapshot to a byte buffer. This is the
+  /// bwresil buddy-mirror wire format: a rank ships these bytes to its
+  /// buddy, and a restore on any store (same fields, same shapes) is
+  /// bitwise-faithful, ghosts included.
   std::vector<char> serialize() const;
 
   /// Replaces the committed snapshot with a previously serialized one;
   /// diagnosed error on malformed or truncated input.
   void deserialize(const std::vector<char>& bytes);
-
-  /// Binary serialization of the committed snapshot (single-rank runs /
-  /// debugging; in-memory stores are the supervisor's primary path).
-  /// File contents are serialize() bytes verbatim.
-  void write_file(const std::string& path) const;
-  void read_file(const std::string& path);
 
  private:
   struct Field {

@@ -99,7 +99,7 @@ class World {
     Mailbox& box = inbox_[static_cast<std::size_t>(dest)];
     Message msg{src, tag, {}, seq};
     msg.payload.resize(bytes);
-    std::memcpy(msg.payload.data(), data, bytes);
+    if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
     {
       std::lock_guard<std::mutex> lock(box.mu);
       box.messages.push_back(std::move(msg));
@@ -162,7 +162,7 @@ class World {
                       << dest << " receiving from rank " << src << " tag "
                       << tag << " expects " << bytes << " bytes, matching "
                       << "send carries " << match->payload.size());
-    std::memcpy(data, match->payload.data(), bytes);
+    if (bytes > 0) std::memcpy(data, match->payload.data(), bytes);
     box.messages.erase(match);
     sync_mailbox_gauge(dest, box);
     lock.unlock();
@@ -227,7 +227,7 @@ class World {
                             << " tag " << tag << " expects " << bytes
                             << " bytes, matching send carries "
                             << match->payload.size());
-          std::memcpy(data, match->payload.data(), bytes);
+          if (bytes > 0) std::memcpy(data, match->payload.data(), bytes);
           box.messages.erase(match);
           got = true;
         }
@@ -285,7 +285,7 @@ class World {
                           << " tag " << tag << " expects " << bytes
                           << " bytes, matching send carries "
                           << match->payload.size());
-        std::memcpy(data, match->payload.data(), bytes);
+        if (bytes > 0) std::memcpy(data, match->payload.data(), bytes);
         box.messages.erase(match);
         sync_mailbox_gauge(dest, box);
         lock.unlock();
@@ -620,7 +620,7 @@ class World {
                         << tag << " expects " << bytes
                         << " bytes, logged send carries "
                         << e.payload.size());
-      std::memcpy(data, e.payload.data(), bytes);
+      if (bytes > 0) std::memcpy(data, e.payload.data(), bytes);
       return true;
     }
     return false;

@@ -2,12 +2,11 @@
 // one-shot firing, seeded flip masks, reproducible event sequences), the
 // two-phase SnapshotStore, the typed ops checkpoint front-end, the
 // NaN/Inf field guard, and the headline acceptance scenario — CloverLeaf
-// 2D recovering from an injected rank crash via checkpoint/restart with a
-// checksum equal to the fault-free run.
+// 2D recovering from an injected rank crash via checkpoint rollback with
+// a checksum equal to the fault-free run.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <string>
@@ -312,11 +311,10 @@ TEST_F(Snapshot, RestoreDiagnosesMissingFieldAndShapeMismatch) {
                Error);
 }
 
-TEST_F(Snapshot, FileRoundTripAndReset) {
-  const std::string path =
-      ::testing::TempDir() + "bwfault_snapshot_roundtrip.ckpt";
+TEST_F(Snapshot, SerializeRoundTripAndReset) {
   const std::vector<double> u = {3.14, 2.71};
   const std::vector<float> w = {1.5f, 2.5f, 3.5f};
+  std::vector<char> bytes;
   {
     SnapshotStore store;
     store.begin(12);
@@ -325,10 +323,10 @@ TEST_F(Snapshot, FileRoundTripAndReset) {
     store.capture_raw("w", w.data(), w.size() * sizeof(float),
                       sizeof(float));
     store.commit();
-    store.write_file(path);
+    bytes = store.serialize();
   }
   SnapshotStore loaded;
-  loaded.read_file(path);
+  loaded.deserialize(bytes);
   EXPECT_TRUE(loaded.valid());
   EXPECT_EQ(loaded.step(), 12);
   EXPECT_EQ(loaded.fields(), 2u);
@@ -345,7 +343,6 @@ TEST_F(Snapshot, FileRoundTripAndReset) {
   EXPECT_FALSE(loaded.valid());
   EXPECT_EQ(loaded.step(), -1);
   EXPECT_EQ(loaded.fields(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST_F(Snapshot, OpsCheckpointRestoresFullAllocationIncludingGhosts) {
@@ -431,9 +428,10 @@ TEST_F(NanGuard, OffIsFree) {
 using Recovery = FaultTest;
 
 // The headline acceptance scenario: kill rank 1 at step 4 of a 2-rank
-// CloverLeaf 2D run with checkpoints every 2 steps. The supervisor must
-// restart from the last committed checkpoint and the recovered checksum
-// must match the fault-free run to 1e-12.
+// CloverLeaf 2D run with checkpoints every 2 steps and no resil policy.
+// Both ranks must roll back to the last committed checkpoint (rank 1
+// from its buddy's mirror) and the recovered checksum must match the
+// fault-free run to 1e-12.
 TEST_F(Recovery, CloverleafRestartsFromCheckpointAfterInjectedCrash) {
   apps::Options opt;
   opt.n = 24;
@@ -447,7 +445,8 @@ TEST_F(Recovery, CloverleafRestartsFromCheckpointAfterInjectedCrash) {
   const apps::Result recovered = apps::clover2d::run(opt);
 
   EXPECT_NEAR(recovered.checksum, baseline.checksum, 1e-12);
-  EXPECT_DOUBLE_EQ(recovered.metric("restarts"), 1.0);
+  EXPECT_DOUBLE_EQ(recovered.metric("rollbacks"), 1.0);
+  EXPECT_DOUBLE_EQ(recovered.metric("buddy_restores"), 1.0);
 
   const std::vector<Event> evs = events();
   ASSERT_EQ(evs.size(), 1u);

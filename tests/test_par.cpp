@@ -131,6 +131,29 @@ TEST(SimMpi, IsendIrecvWaitAll) {
   });
 }
 
+TEST(SimMpi, ZeroByteMessagesMatchAndComplete) {
+  // An empty halo side sends a 0-byte payload with null buffers; the
+  // message must still match by (src, tag) on send/recv and isend/irecv.
+  run_ranks(2, [](Comm& c) {
+    const int peer = 1 - c.rank();
+    if (c.rank() == 0) {
+      c.send(peer, 1, nullptr, 0);
+      Comm::Request r = c.isend(peer, 2, nullptr, 0);
+      c.wait(r);
+    } else {
+      c.recv(peer, 1, nullptr, 0);
+      Comm::Request r = c.irecv(peer, 2, nullptr, 0);
+      c.wait(r);
+    }
+    int x = 10 + c.rank();
+    if (c.rank() == 0)
+      c.send(peer, 3, &x, sizeof x);
+    else
+      c.recv(peer, 3, &x, sizeof x);
+    EXPECT_EQ(x, 10);
+  });
+}
+
 class AllreduceRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(AllreduceRanks, SumMinMax) {

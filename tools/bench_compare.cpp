@@ -33,7 +33,7 @@ benchjson::ResultFile read_and_merge(const std::vector<std::string>& paths,
                                      std::size_t first) {
   std::vector<benchjson::ResultFile> files;
   for (std::size_t i = first; i < paths.size(); ++i)
-    files.push_back(benchjson::read_file(paths[i]));
+    files.push_back(benchjson::load(paths[i]));
   return benchjson::merge(files);
 }
 
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       if (paths.size() < first + 1) return usage(cli.program());
       benchjson::ResultFile merged = read_and_merge(paths, first);
       merged.git_sha = benchjson::git_sha();
-      benchjson::write_file(out, merged);
+      benchjson::save(out, merged);
       std::cout << "merged " << paths.size() - first << " file(s), "
                 << merged.suites.size() << " suite(s) into " << out << "\n";
       return 0;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         cli.get("threshold", "10%"));
     opt.mad_k = cli.get_double("mad-k", opt.mad_k);
 
-    const benchjson::ResultFile baseline = benchjson::read_file(paths[0]);
+    const benchjson::ResultFile baseline = benchjson::load(paths[0]);
     const benchjson::ResultFile candidate = read_and_merge(paths, 1);
     const benchjson::CompareReport report =
         benchjson::compare(baseline, candidate, opt);
