@@ -67,18 +67,26 @@ int main(int argc, char** argv) {
       });
 
   // Per-message cost: each measured repetition is one full ping-pong run
-  // (2 * kMsgs messages), converted to ns per message below.
-  std::vector<double> base_s = run.measure(1, [] { pingpong(kMsgs); });
-  for (double& s : base_s) s = s * 1e9 / (2.0 * kMsgs);
-  const double base_ns = run.record("pingpong.no_policy", "ns",
-                                    benchjson::Better::Lower, base_s);
-
-  // Installing a disabled policy must be indistinguishable from clear().
+  // (2 * kMsgs messages), converted to ns per message below. No policy
+  // (A) and an installed disabled policy (B), which must be
+  // indistinguishable from clear(), alternate, so a busy host episode
+  // lands on both sides instead of skewing one.
   resil::Policy off;
   off.enabled = false;
-  resil::install(off);
-  std::vector<double> off_s = run.measure(1, [] { pingpong(kMsgs); });
-  for (double& s : off_s) s = s * 1e9 / (2.0 * kMsgs);
+  auto [base_s, off_s] = run.measure_ab(
+      [] {
+        resil::clear();
+        pingpong(kMsgs);
+      },
+      [&off] {
+        resil::install(off);
+        pingpong(kMsgs);
+        resil::clear();
+      });
+  for (std::vector<double>* v : {&base_s, &off_s})
+    for (double& s : *v) s = s * 1e9 / (2.0 * kMsgs);
+  const double base_ns = run.record("pingpong.no_policy", "ns",
+                                    benchjson::Better::Lower, base_s);
   const double off_ns = run.record("pingpong.disabled_policy", "ns",
                                    benchjson::Better::Lower, off_s);
 

@@ -5,13 +5,16 @@
 // instrumentation records the profile extractor consumes.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/instrument.hpp"
 #include "common/types.hpp"
+#include "par/partition.hpp"
 #include "par/simmpi.hpp"
 
 namespace bwlab::apps {
@@ -56,6 +59,27 @@ inline par::RunOptions run_options(const Options& opt) {
   par::RunOptions ro;
   ro.watchdog_grace_ms = opt.watchdog_ms;
   return ro;
+}
+
+/// Rejects, before any rank launches, a decomposition of the app's
+/// n^ndims grid over opt.ranks whose smallest local extent cannot hold a
+/// halo of `depth` plus `stagger` (ops::Dat's requirement). Without it,
+/// every rank thread fails the same way inside run_ranks.
+inline void require_local_extent(const char* app, const Options& opt,
+                                 int ndims, int depth, int stagger) {
+  std::array<idx_t, 3> size{1, 1, 1};
+  for (int d = 0; d < ndims; ++d) size[static_cast<std::size_t>(d)] = opt.n;
+  const par::CartGrid grid(opt.ranks, ndims, size);
+  for (int d = 0; d < ndims; ++d) {
+    // block_range balances to within one: the smallest part is the floor.
+    const idx_t smallest = opt.n / grid.dims[static_cast<std::size_t>(d)];
+    BWLAB_REQUIRE(smallest >= depth + stagger,
+                  app << ": " << opt.ranks << " ranks over n=" << opt.n
+                      << " leave a local extent of " << smallest
+                      << " in dim " << d << ", smaller than the "
+                      << (opt.tiled ? "tiled " : "") << "halo depth "
+                      << depth << " + stagger " << stagger);
+  }
 }
 
 /// Standard distributed launch: run_ranks with the app's watchdog grace.

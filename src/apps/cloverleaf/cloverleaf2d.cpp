@@ -387,6 +387,9 @@ struct Solver {
 
 Result run(const Options& opt) {
   apply_robustness(opt);
+  const int depth = opt.tiled ? kTiledHaloDepth : 2;
+  // Velocities and fluxes are staggered by one node.
+  require_local_extent("clover2d", opt, 2, depth, 1);
   Result result;
   const RunRecovery recovery(opt);
 
@@ -395,7 +398,6 @@ Result run(const Options& opt) {
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
-    const int depth = opt.tiled ? kTiledHaloDepth : 2;
     if (opt.tile_cache_bytes > 0)
       ctx->set_tile_cache_bytes(opt.tile_cache_bytes);
     Solver s(*ctx, opt.n, depth);

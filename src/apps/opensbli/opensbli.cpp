@@ -366,12 +366,14 @@ struct Solver {
 
 Result run(const Options& opt, Variant variant) {
   apply_robustness(opt);
+  const int depth = opt.tiled ? tiled_halo_depth(variant) : 2;
+  // Every field is cell-centred.
+  require_local_extent("opensbli", opt, 3, depth, 0);
   Result result;
   auto run_rank = [&](par::Comm* comm) {
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
-    const int depth = opt.tiled ? tiled_halo_depth(variant) : 2;
     if (opt.tile_cache_bytes > 0)
       ctx->set_tile_cache_bytes(opt.tile_cache_bytes);
     Solver s(*ctx, opt.n, variant, depth);

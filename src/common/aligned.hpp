@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -31,6 +33,20 @@ struct AlignedAllocator {
   }
 
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  /// Value-less construction default-initialises, so resize(n) leaves
+  /// trivial elements unwritten: an owner can then first-touch the pages
+  /// from the threads that will use them. Every other construction
+  /// (assign(n, v), a fill constructor) is forwarded unchanged.
+  template <class U>
+  void construct(U* p) noexcept(
+      std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
 
   template <class U>
   bool operator==(const AlignedAllocator<U>&) const noexcept {

@@ -109,4 +109,9 @@ enum class Bc {
   ReflectNeg,   ///< mirror with sign flip (normal velocity components)
 };
 
+/// Which physical-boundary faces Dat::refresh_physical_bcs refills: both
+/// kinds, only the faces normal to the outermost dimension, or only the
+/// others (whose ghosts of a row mirror that row alone).
+enum class BcFaces { All, Outer, NonOuter };
+
 }  // namespace bwlab::ops

@@ -1,8 +1,11 @@
 #include "ops/chain.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
@@ -323,7 +326,70 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
     ins.datmove_chain(cm);
   }
 
+  // Each tile is one team region. Inside it every member walks the
+  // tile's loops in chain order: it runs its slab of the loop's outer rows
+  // (ThreadPool::chunk, the eager split; bodies are strictly serial range
+  // executors, so any split is bitwise identical to a serial sweep),
+  // refills the non-outer-face ghosts of the rows it just wrote, and waits
+  // at a team barrier. Where a pass writes rows an outer face mirrors,
+  // member 0 then refills that face between two barriers. Bookkeeping
+  // (reuse touches, kernel spans, loop times) stays on member 0, in the
+  // serial order.
   par::ThreadPool* pool = ctx_->pool();
+  const auto od = static_cast<std::size_t>(outer_dim);
+  std::vector<LoopRecord*> recs;
+  for (const ChainLoop& l : loops_)
+    recs.push_back(&ctx_->instr().loop(l.name));
+  std::vector<Range> pass(static_cast<std::size_t>(n));
+  std::vector<char> outer_stale(static_cast<std::size_t>(n));
+  const std::function<void(int)> run_tile = [&](int tid) {
+    for (int i = 0; i < n; ++i) {
+      const auto is = static_cast<std::size_t>(i);
+      const Range& r = pass[is];
+      if (r.empty()) continue;
+      const ChainLoop& l = loops_[is];
+      std::optional<Timer> t;
+      std::optional<trace::TraceSpan> span;
+      if (tid == 0) {
+        if (dm) {
+          // Per-tile reuse touches: the footprint between two touches of
+          // the same dat is the sum of the tile-sized slices in between.
+          const int nd = l.block->ndims();
+          for (const ChainDatUse& u : l.uses) {
+            const count_t mb = use_moved_bytes(u, r, nd);
+            ctx_->instr().datmove_touch(u.id, mb, mb);
+          }
+        }
+        t.emplace();
+        span.emplace(trace::Cat::Kernel, l.name);
+      }
+      const auto [lo, hi] =
+          pool != nullptr ? pool->chunk(r.lo[od], r.hi[od], tid)
+                          : std::pair{r.lo[od], r.hi[od]};
+      if (lo < hi) {
+        Range sub = r;
+        sub.lo[od] = lo;
+        sub.hi[od] = hi;
+        l.body(sub);
+        // A row's non-outer ghosts mirror that row alone.
+        for (const ChainDatUse& u : l.uses)
+          if (u.is_written) u.refresh_bcs(lo, hi, BcFaces::NonOuter);
+      }
+      if (pool != nullptr) pool->barrier();
+      if (outer_stale[is]) {
+        if (tid == 0)
+          for (const ChainDatUse& u : l.uses)
+            if (u.is_written)
+              u.refresh_bcs(r.lo[od], r.hi[od], BcFaces::Outer);
+        if (pool != nullptr) pool->barrier();
+      }
+      if (tid == 0) {
+        span.reset();
+        recs[is]->host_seconds += t->elapsed();
+      }
+    }
+  };
+
   static Counter& tiles =
       MetricsRegistry::global().counter("ops.tiles_executed");
   idx_t tile_idx = 0;
@@ -335,38 +401,26 @@ void ChainQueue::execute_tiled(idx_t tile_outer) {
     tiles.inc();
     tiling.tiles += 1;
     for (int i = 0; i < n; ++i) {
-      ChainLoop& l = loops_[static_cast<std::size_t>(i)];
-      Range r = ext[static_cast<std::size_t>(i)];
-      const auto od = static_cast<std::size_t>(outer_dim);
-      const idx_t s = sigma[static_cast<std::size_t>(i)];
-      r.lo[od] = std::max(r.lo[od], b0 + s);
-      r.hi[od] = std::min(r.hi[od], b1 + s);
+      const auto is = static_cast<std::size_t>(i);
+      Range& r = pass[is];
+      r = ext[is];
+      r.lo[od] = std::max(r.lo[od], b0 + sigma[is]);
+      r.hi[od] = std::min(r.hi[od], b1 + sigma[is]);
+      // Physical-boundary ghosts of freshly written dats must track the
+      // interior inside the chain: an outer face is refilled after a pass
+      // that writes rows it mirrors (only edge tiles do).
+      outer_stale[is] = 0;
       if (r.empty()) continue;
-      if (dm) {
-        // Per-tile reuse touches: the footprint between two touches of
-        // the same dat is the sum of the tile-sized slices in between.
-        const int nd = l.block->ndims();
-        for (const ChainDatUse& u : l.uses) {
-          const count_t mb = use_moved_bytes(u, r, nd);
-          ctx_->instr().datmove_touch(u.id, mb, mb);
-        }
+      for (const ChainDatUse& u : loops_[is].uses) {
+        if (!u.is_written) continue;
+        for (const auto& [src_lo, src_hi] : u.outer_bc_rows)
+          if (r.lo[od] < src_hi && r.hi[od] > src_lo) outer_stale[is] = 1;
       }
-      Timer t;
-      {
-        trace::TraceSpan span(trace::Cat::Kernel, l.name);
-        // Bodies are strictly serial range executors (see par_loop), so
-        // the outer-row split is bitwise identical to a serial sweep.
-        split_outer_rows(pool, r, outer_dim, l.body);
-      }
-      ctx_->instr().loop(l.name).host_seconds += t.elapsed();
-      // Physical-boundary ghosts of freshly-written dats must track the
-      // interior inside the chain: refill the ghosts mirrored from the
-      // rows this pass wrote (reads in the next loops of this tile touch
-      // only rows this refresh sees as current). Runs after the team
-      // join, on the calling thread.
-      for (const ChainDatUse& u : l.uses)
-        if (u.is_written) u.refresh_bcs(r.lo[od], r.hi[od]);
     }
+    if (pool != nullptr)
+      pool->run(run_tile);
+    else
+      run_tile(0);
   }
 
   for (const ChainLoop& l : loops_)

@@ -15,18 +15,20 @@
 //    executed in order, and within a tile the loops run in chain order
 //    over skewed sub-ranges: loop i is shifted up by sigma_i so every
 //    read of an earlier loop's output lands on already-computed rows. The union of a loop's sub-ranges across tiles is exactly its
-//    range — no point is executed twice within a rank. Within a tile each
-//    loop's sub-range is split over the rank's thread team into one
-//    contiguous slab of outer rows per member (split_outer_rows, the same
-//    static split eager par_loop uses). Loop bodies are strictly serial
-//    range executors and the team joins before the boundary refresh, so
-//    the partition never changes results.
+//    range — no point is executed twice within a rank. Each tile is one
+//    region of the rank's thread team: every member walks the tile's
+//    loops in order, runs its contiguous slab of each loop's outer rows
+//    (ThreadPool::chunk, the static split eager par_loop uses), and waits
+//    at a team barrier before the next loop. Loop bodies are strictly
+//    serial range executors, so the partition never changes results.
 //  * after each producing loop inside each tile, the physical-boundary
 //    ghosts mirrored from the rows it just wrote are refilled
-//    (Dat::refresh_physical_bcs): the ghost columns of the written rows,
-//    and an outer face only when the written rows reach the interior rows
-//    it mirrors. Boundary reads thus observe current values exactly as in
-//    untiled execution, at a cost proportional to the tile.
+//    (Dat::refresh_physical_bcs). Each member refills the ghost columns
+//    of the rows it wrote, before the barrier. An outer face is refilled
+//    only when the written rows reach the interior rows it mirrors, by
+//    member 0 between two barriers. Boundary reads thus observe current
+//    values exactly as in untiled execution, at a cost proportional to
+//    the tile.
 //
 // The result is bitwise identical to untiled execution (tested), while
 // the traffic of a chain of N loops over a tile that fits in cache is
@@ -38,6 +40,7 @@
 #include <array>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ops/access.hpp"
@@ -65,7 +68,10 @@ struct ChainDatUse {
   std::function<void()> exchange;    ///< Dat::exchange_halos
   std::function<void()> mark_dirty;  ///< Dat::mark_halos_dirty
   /// Dat::refresh_physical_bcs restricted to outer rows [lo, hi).
-  std::function<void(idx_t, idx_t)> refresh_bcs;
+  std::function<void(idx_t, idx_t, BcFaces)> refresh_bcs;
+  /// Dat::outer_bc_source_rows per side: a write to these outer rows
+  /// leaves that outer face's ghost strip stale.
+  std::array<std::pair<idx_t, idx_t>, 2> outer_bc_rows{};
 };
 
 /// One captured loop.
@@ -91,8 +97,8 @@ class ChainQueue {
   /// the outermost dimension; pass 0 to auto-tune it: the height is sized
   /// so the chain's per-tile working set (unique dats x bytes per tile
   /// row) fits the context's tile cache budget, floored at the chain's
-  /// total stencil extension. Within each tile every loop's sub-range is
-  /// executed across the context's thread team (split_outer_rows); results
+  /// total stencil extension. Each tile is one region of the context's
+  /// thread team, every loop's sub-range split by outer rows; results
   /// stay bitwise identical to untiled execution for every tile height and
   /// team size.
   void execute_tiled(idx_t tile_outer);
@@ -117,30 +123,6 @@ class ChainQueue {
   Context* ctx_;
   std::vector<ChainLoop> loops_;
 };
-
-/// Runs `body` over `r` across the thread team, split statically over
-/// dimension `outer_dim` into one contiguous slab of rows per member
-/// (ThreadPool::chunk); serial when there is no team. This is the one
-/// intra-rank split rule: eager par_loop and the tiled executor both use
-/// it. Bodies write per point, so every split is bitwise identical to
-/// body(r).
-template <class Body>
-void split_outer_rows(par::ThreadPool* pool, const Range& r, int outer_dim,
-                      Body&& body) {
-  if (pool == nullptr || pool->size() == 1) {
-    body(r);
-    return;
-  }
-  const auto od = static_cast<std::size_t>(outer_dim);
-  pool->run([&](int tid) {
-    const auto [lo, hi] = pool->chunk(r.lo[od], r.hi[od], tid);
-    if (lo >= hi) return;
-    Range sub = r;
-    sub.lo[od] = lo;
-    sub.hi[od] = hi;
-    body(sub);
-  });
-}
 
 /// Called by par_loop in lazy mode.
 void enqueue_lazy(Context& ctx, const LoopMeta& meta, Block& b,

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -25,6 +26,31 @@
 #include "par/partition.hpp"
 
 namespace bwlab::ops {
+
+/// Runs `body` over `r` across the thread team, split statically over
+/// dimension `outer_dim` into one contiguous slab of rows per member
+/// (ThreadPool::chunk); serial when there is no team. This is the one
+/// intra-rank split rule: eager par_loop and the Dat fills call it, and
+/// the tiled executor applies the same chunk inside its tile regions.
+/// Bodies write per point, so every split is bitwise identical to
+/// body(r).
+template <class Body>
+void split_outer_rows(par::ThreadPool* pool, const Range& r, int outer_dim,
+                      Body&& body) {
+  if (pool == nullptr || pool->size() == 1) {
+    body(r);
+    return;
+  }
+  const auto od = static_cast<std::size_t>(outer_dim);
+  pool->run([&](int tid) {
+    const auto [lo, hi] = pool->chunk(r.lo[od], r.hi[od], tid);
+    if (lo >= hi) return;
+    Range sub = r;
+    sub.lo[od] = lo;
+    sub.hi[od] = hi;
+    body(sub);
+  });
+}
 
 class Block {
  public:
@@ -80,7 +106,10 @@ class Dat {
  public:
   /// Creates a field on `block`. `stagger[d]` of 1 makes the field
   /// node-centered in dimension d (global extent size+1); `halo_depth`
-  /// must cover the largest read stencil ever applied to this dat.
+  /// must cover the largest read stencil ever applied to this dat. The
+  /// context's team writes `init` by outer-row slabs (the eager split),
+  /// so each page is first touched by the member that computes its rows;
+  /// without a team the calling thread writes it all.
   Dat(Block& block, std::string name, int halo_depth = 1,
       std::array<int, 3> stagger = {0, 0, 0}, T init = T{})
       : block_(&block), name_(std::move(name)), id_(block.ctx().next_dat_id()),
@@ -111,8 +140,16 @@ class Dat {
     }
     sx_ = ahi_[0] - alo_[0];
     sy_ = ahi_[1] - alo_[1];
-    data_.assign(static_cast<std::size_t>(sx_ * sy_ * (ahi_[2] - alo_[2])),
-                 init);
+    // AlignedAllocator's resize leaves the pages untouched; the team
+    // writes them.
+    data_.resize(static_cast<std::size_t>(sx_ * sy_ * (ahi_[2] - alo_[2])));
+    const int od = block.ndims() - 1;
+    const auto ods = static_cast<std::size_t>(od);
+    split_outer_rows(block.ctx().pool(), Range{alo_, ahi_}, od,
+                     [&](const Range& rows) {
+                       std::fill(outer_row(rows.lo[ods]),
+                                 outer_row(rows.hi[ods]), init);
+                     });
     memtier::on_alloc(name_, data_.size() * sizeof(T));
   }
 
@@ -194,18 +231,27 @@ class Dat {
   ///    ghost columns mirror that row only), across the whole allocation
   ///    so that written periodic-image ghost rows keep their corners;
   ///  * outer faces: the whole face strip, but only when the written
-  ///    rows reach the interior rows the face mirrors — [exec_lo,
-  ///    exec_lo + depth] on the low side, [exec_hi - 1 - depth, exec_hi)
-  ///    on the high side.
+  ///    rows reach the interior rows the face mirrors
+  ///    (outer_bc_source_rows).
   /// The per-tile cost is thus proportional to the rows the tile wrote.
-  void refresh_physical_bcs(idx_t outer_lo = 0, idx_t outer_hi = -1) {
+  /// `faces` restricts the refill to one kind of face: non-outer refills
+  /// of disjoint row sets touch disjoint memory, so team members may run
+  /// them concurrently on the rows each wrote; an outer refill reads rows
+  /// any member may have written and must follow them all.
+  void refresh_physical_bcs(idx_t outer_lo = 0, idx_t outer_hi = -1,
+                            BcFaces faces = BcFaces::All) {
     const int outer = block_->ndims() - 1;
     const auto os = static_cast<std::size_t>(outer);
     const bool restricted = outer_lo < outer_hi;
+    const auto overlaps = [&](std::pair<idx_t, idx_t> src) {
+      return outer_lo < src.second && outer_hi > src.first;
+    };
     for (int d = 0; d < block_->ndims(); ++d) {
       const auto ds = static_cast<std::size_t>(d);
+      if (faces == (d == outer ? BcFaces::NonOuter : BcFaces::Outer))
+        continue;
       if (bc_[ds][0] == Bc::Periodic) continue;
-      Box low = base_box(d), high = base_box(d);
+      Range low = base_box(d), high = base_box(d);
       low.lo[ds] = exec_lo(d) - depth_;
       low.hi[ds] = exec_lo(d);
       high.lo[ds] = exec_hi(d);
@@ -217,14 +263,27 @@ class Dat {
         low.lo[os] = high.lo[os] = std::max(alo_[os], outer_lo);
         low.hi[os] = high.hi[os] = std::min(ahi_[os], outer_hi);
       } else if (restricted) {
-        fill_low = fill_low && outer_lo <= exec_lo(d) + depth_ &&
-                   outer_hi > exec_lo(d);
-        fill_high = fill_high && outer_hi >= exec_hi(d) - depth_ &&
-                    outer_lo < exec_hi(d);
+        fill_low = overlaps(outer_bc_source_rows(0));
+        fill_high = overlaps(outer_bc_source_rows(1));
       }
       if (fill_low) fill_bc(d, 0, low);
       if (fill_high) fill_bc(d, 1, high);
     }
+  }
+
+  /// Outer rows [lo, hi) the ghost strip of outer face `side` (0 low,
+  /// 1 high) mirrors: [exec_lo, exec_lo + depth] on the low side,
+  /// [exec_hi - 1 - depth, exec_hi) on the high side. Empty when the face
+  /// has no physical-boundary fill (a neighbour rank, Periodic or None).
+  /// A write to these rows leaves that strip stale.
+  std::pair<idx_t, idx_t> outer_bc_source_rows(int side) const {
+    const int outer = block_->ndims() - 1;
+    const Bc b = bc(outer, side);
+    if (b == Bc::None || b == Bc::Periodic ||
+        block_->neighbor(outer, side == 0 ? -1 : +1) >= 0)
+      return {0, 0};
+    if (side == 0) return {exec_lo(outer), exec_lo(outer) + depth_ + 1};
+    return {exec_hi(outer) - 1 - depth_, exec_hi(outer)};
   }
 
   /// Number of locally-owned points (product of exec extents).
@@ -235,29 +294,54 @@ class Dat {
     return p;
   }
 
-  /// Fills the owned region (tests/initialization).
+  /// Fills the owned region (tests/initialization) with f(i, j, k), on
+  /// the calling thread.
   template <class F>
   void fill_indexed(F&& f) {
-    for (idx_t k = exec_lo(2); k < exec_hi(2); ++k)
-      for (idx_t j = exec_lo(1); j < exec_hi(1); ++j)
-        for (idx_t i = exec_lo(0); i < exec_hi(0); ++i)
-          at(i, j, k) = f(i, j, k);
+    fill_points(exec_box(), f);
     mark_halos_dirty();
   }
+  /// Fills the owned region with `value`, split by outer rows over the
+  /// context's team like the constructor's first touch.
   void fill(T value) {
-    fill_indexed([&](idx_t, idx_t, idx_t) { return value; });
+    split_outer_rows(block_->ctx().pool(), exec_box(), block_->ndims() - 1,
+                     [&](const Range& rows) {
+                       fill_points(rows,
+                                   [&](idx_t, idx_t, idx_t) { return value; });
+                     });
+    mark_halos_dirty();
   }
 
  private:
-  // A box in global index space, [lo, hi) per dimension.
-  struct Box {
-    std::array<idx_t, 3> lo, hi;
-    idx_t points() const {
-      return (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2]);
+  /// The owned (execution) region as a box in global indices.
+  Range exec_box() const {
+    Range b;
+    for (int e = 0; e < 3; ++e) {
+      b.lo[static_cast<std::size_t>(e)] = exec_lo(e);
+      b.hi[static_cast<std::size_t>(e)] = exec_hi(e);
     }
-  };
+    return b;
+  }
 
-  void pack(const Box& b, std::vector<T>& buf) const {
+  template <class F>
+  void fill_points(const Range& b, F&& f) {
+    for (idx_t k = b.lo[2]; k < b.hi[2]; ++k)
+      for (idx_t j = b.lo[1]; j < b.hi[1]; ++j)
+        for (idx_t i = b.lo[0]; i < b.hi[0]; ++i) at(i, j, k) = f(i, j, k);
+  }
+
+  /// First element of outer-dimension row `o` of the allocation; the
+  /// allocation's outer rows are contiguous, so [outer_row(a),
+  /// outer_row(b)) is rows [a, b) whole, ghosts included.
+  T* outer_row(idx_t o) {
+    switch (block_->ndims()) {
+      case 1: return ptr(o, alo_[1], alo_[2]);
+      case 2: return ptr(alo_[0], o, alo_[2]);
+      default: return ptr(alo_[0], alo_[1], o);
+    }
+  }
+
+  void pack(const Range& b, std::vector<T>& buf) const {
     buf.clear();
     buf.reserve(static_cast<std::size_t>(b.points()));
     for (idx_t k = b.lo[2]; k < b.hi[2]; ++k)
@@ -266,7 +350,7 @@ class Dat {
         buf.insert(buf.end(), row, row + (b.hi[0] - b.lo[0]));
       }
   }
-  void unpack(const Box& b, const std::vector<T>& buf) {
+  void unpack(const Range& b, const std::vector<T>& buf) {
     const T* src = buf.data();
     for (idx_t k = b.lo[2]; k < b.hi[2]; ++k)
       for (idx_t j = b.lo[1]; j < b.hi[1]; ++j) {
@@ -280,8 +364,8 @@ class Dat {
   /// Extents of the exchange slab in the non-exchange dimensions: full
   /// allocation for dimensions already exchanged (fills corners), exec
   /// range for dimensions not yet exchanged.
-  Box base_box(int d) const {
-    Box b{};
+  Range base_box(int d) const {
+    Range b;
     for (int e = 0; e < 3; ++e) {
       const auto es = static_cast<std::size_t>(e);
       if (e < d) {
@@ -315,7 +399,7 @@ class Dat {
     // neighbor is never the high edge).
     const idx_t wh_send = depth_ + stagger_[ds];
     // Strips in global index space:
-    Box send_low = base_box(d), send_high = base_box(d), recv_low = send_low,
+    Range send_low = base_box(d), send_high = base_box(d), recv_low = send_low,
         recv_high = send_high;
     send_low.lo[ds] = lo;          // to low neighbor's high ghosts
     send_low.hi[ds] = lo + wh_send;
@@ -348,7 +432,7 @@ class Dat {
     // receives first, a periodic ring of ranks deadlocks (everyone waits
     // for a message its neighbor only sends after its own receive).
     // SimMPI sends are eagerly buffered, so sending first is safe.
-    auto send_to = [&](int nb, const Box& sbox, std::vector<T>& buf,
+    auto send_to = [&](int nb, const Range& sbox, std::vector<T>& buf,
                        int tag) {
       if (nb < 0 || nb == me || comm == nullptr) return;
       {
@@ -363,7 +447,7 @@ class Dat {
       msgs.inc();
       bytes.inc(buf.size() * sizeof(T));
     };
-    auto recv_from = [&](int nb, const Box& rbox, const Box& self_src,
+    auto recv_from = [&](int nb, const Range& rbox, const Range& self_src,
                          int tag) {
       if (nb < 0) return;
       if (nb == me || comm == nullptr) {
@@ -389,11 +473,26 @@ class Dat {
     recv_from(nb_high, recv_high, send_low, tag_base + 1);
     recv_from(nb_low, recv_low, send_high, tag_base + 0);
 
-    // Physical-boundary fills where there is no (periodic) neighbor.
-    if (!periodic) {
+    // Physical-boundary fills where there is no (periodic) neighbor. A
+    // face normal to an inner dimension fills each outer row from that
+    // row alone, so its rows are split over the team; an outer face is
+    // a few whole rows and stays on the calling thread.
+    if (periodic || (nb_low >= 0 && nb_high >= 0)) return;
+    const int outer = block_->ndims() - 1;
+    if (d == outer) {
       if (nb_low < 0) fill_bc(d, /*side=*/0, recv_low);
       if (nb_high < 0) fill_bc(d, /*side=*/1, recv_high);
+      return;
     }
+    // Both strips span the same (exec) outer rows.
+    const auto os = static_cast<std::size_t>(outer);
+    split_outer_rows(ctx.pool(), recv_low, outer, [&](const Range& rows) {
+      Range high = recv_high;
+      high.lo[os] = rows.lo[os];
+      high.hi[os] = rows.hi[os];
+      if (nb_low < 0) fill_bc(d, /*side=*/0, rows);
+      if (nb_high < 0) fill_bc(d, /*side=*/1, high);
+    });
   }
 
   /// Fills the ghost box of face (d, side) from the interior. The BC case
@@ -403,7 +502,7 @@ class Dat {
   /// the boundary node lo or hi-1 for node-centered ones), negated for
   /// ReflectNeg. Faces of dims > 0 copy whole ghost rows; the innermost
   /// face runs a tight loop within each row.
-  void fill_bc(int d, int side, const Box& ghosts) {
+  void fill_bc(int d, int side, const Range& ghosts) {
     const auto ds = static_cast<std::size_t>(d);
     const Bc bc = bc_[ds][static_cast<std::size_t>(side)];
     if (bc == Bc::None || bc == Bc::Periodic) return;

@@ -338,7 +338,10 @@ ChainDatUse dat_use(Dat<T>* d) {
   }
   u.exchange = [d] { d->exchange_halos(); };
   u.mark_dirty = [d] { d->mark_halos_dirty(); };
-  u.refresh_bcs = [d](idx_t lo, idx_t hi) { d->refresh_physical_bcs(lo, hi); };
+  u.refresh_bcs = [d](idx_t lo, idx_t hi, BcFaces faces) {
+    d->refresh_physical_bcs(lo, hi, faces);
+  };
+  u.outer_bc_rows = {d->outer_bc_source_rows(0), d->outer_bc_source_rows(1)};
   return u;
 }
 

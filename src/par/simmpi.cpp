@@ -914,18 +914,27 @@ std::vector<RankStats> run_ranks(int nranks,
   // Progress watchdog: a sustained "all live ranks blocked, activity
   // counter frozen" state cannot resolve itself (only ranks generate
   // traffic), so after the grace period it is a proven deadlock.
+  // It waits between polls on a condition variable, so stopping it at
+  // the end of the run is immediate rather than a poll away.
   std::thread watchdog;
-  std::atomic<bool> watchdog_stop{false};
+  std::mutex watchdog_mu;
+  std::condition_variable watchdog_cv;
+  bool watchdog_stop = false;
   if (opts.watchdog_grace_ms > 0) {
-    watchdog = std::thread([&world, &watchdog_stop, &opts] {
+    watchdog = std::thread([&] {
       trace::set_thread_track(0, 1 << 16, "bwfault watchdog");
       const double poll_ms =
           std::clamp(opts.watchdog_grace_ms / 4.0, 5.0, 100.0);
+      const auto poll =
+          std::chrono::microseconds(static_cast<long>(poll_ms * 1e3));
       double stable_ms = 0;
       std::uint64_t last_activity = world.activity();
-      while (!watchdog_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(static_cast<long>(poll_ms * 1e3)));
+      for (;;) {
+        {
+          std::unique_lock<std::mutex> lock(watchdog_mu);
+          if (watchdog_cv.wait_for(lock, poll, [&] { return watchdog_stop; }))
+            return;
+        }
         if (world.all_done()) return;
         const std::uint64_t act = world.activity();
         if (act == last_activity && world.all_live_blocked()) {
@@ -948,7 +957,11 @@ std::vector<RankStats> run_ranks(int nranks,
   body(0);
   for (std::thread& t : threads) t.join();
   if (watchdog.joinable()) {
-    watchdog_stop.store(true, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(watchdog_mu);
+      watchdog_stop = true;
+    }
+    watchdog_cv.notify_one();
     watchdog.join();
   }
 

@@ -36,10 +36,9 @@ void register_census_provider() {
 }
 
 /// Spins (with a CPU relax hint) until `done()` or kSpinBudget passes;
-/// returns done(). Back-to-back regions — the tiled executor issues one
-/// per loop per tile, ~920 per step on clover2d n=2048 — then hand off
-/// without a futex sleep and wake-up per region. The budget bounds the
-/// CPU an idle worker burns when no region follows.
+/// returns done(). Back-to-back regions and team barriers then hand off
+/// without a futex sleep and wake-up each. The budget bounds the CPU an
+/// idle worker burns when nothing follows.
 constexpr std::chrono::microseconds kSpinBudget{50};
 
 template <class Done>
@@ -141,6 +140,28 @@ void ThreadPool::run(const std::function<void(int)>& fn) {
     cv_done_.wait(lock, joined);
   }
   task_ = nullptr;
+}
+
+void ThreadPool::barrier() {
+  if (threads_ == 1) return;
+  const count_t phase = barrier_phase_.load(std::memory_order_acquire);
+  if (barrier_arrived_.fetch_add(1, std::memory_order_acq_rel) ==
+      threads_ - 1) {
+    barrier_arrived_.store(0, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      barrier_phase_.fetch_add(1, std::memory_order_release);
+    }
+    cv_barrier_.notify_all();
+    return;
+  }
+  const auto released = [&] {
+    return barrier_phase_.load(std::memory_order_acquire) != phase;
+  };
+  if (!spin_until(released)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_barrier_.wait(lock, released);
+  }
 }
 
 void ThreadPool::worker_loop(int tid) {

@@ -2,7 +2,9 @@
 // and reductions. This is the execution engine behind the "OpenMP" lane of
 // the DSLs: a team of threads is created once and reused by every parallel
 // region (as OpenMP runtimes do), so per-region cost is a condition-variable
-// wakeup plus a join barrier, not thread creation.
+// wakeup plus a join barrier, not thread creation. Inside a region the team
+// can also synchronise at barriers (barrier()), so a sequence of dependent
+// sweeps runs as one region instead of one region per sweep.
 #pragma once
 
 #include <algorithm>
@@ -61,6 +63,14 @@ class ThreadPool {
   /// Executes `fn(tid)` on every team member (tid in [0, size())) and
   /// returns when all are done.
   void run(const std::function<void(int)>& fn);
+
+  /// Team barrier: returns once every member of the current region has
+  /// called it. Callable only from inside run(), and then by every member
+  /// the same number of times (a member with no work still arrives).
+  /// Writes made by any member before the barrier are visible to every
+  /// member after it. Waiters spin briefly, then park, like the region
+  /// hand-off. A no-op on a team of one.
+  void barrier();
 
   /// Parallel loop over [begin, end), static schedule (one contiguous
   /// chunk per team member, see chunk()).
@@ -126,6 +136,13 @@ class ThreadPool {
   std::atomic<count_t> generation_{0};
   std::atomic<int> pending_{0};
   std::atomic<bool> shutdown_{false};
+
+  // Team barrier (barrier()): arrivals count up to threads_; the last
+  // arrival resets the count and advances the phase under mu_, so a
+  // parked waiter cannot miss it.
+  std::condition_variable cv_barrier_;
+  std::atomic<int> barrier_arrived_{0};
+  std::atomic<count_t> barrier_phase_{0};
 
   // Sampler-visible occupancy mirrors (see PoolCensus). Kept separate
   // from pending_/generation_ so readers never need mu_.

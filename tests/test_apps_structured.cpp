@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "apps/acoustic/acoustic.hpp"
 #include "apps/cloverleaf/cloverleaf2d.hpp"
 #include "apps/cloverleaf/cloverleaf3d.hpp"
 #include "apps/miniweather/miniweather.hpp"
 #include "apps/opensbli/opensbli.hpp"
+#include "common/error.hpp"
+#include "par/simmpi.hpp"
 
 namespace bwlab::apps {
 namespace {
@@ -58,13 +62,24 @@ TEST_P(Clover2DVariants, ExecutionVariantsAgree) {
       v.ranks = 2;
       v.threads = 2;
       break;
+    case 4:  // tiles as team regions, uneven slabs
+      v.threads = 3;
+      v.tiled = true;
+      v.tile_size = 7;
+      break;
+    case 5:
+      v.ranks = 2;
+      v.threads = 2;
+      v.tiled = true;
+      v.tile_size = 0;  // auto-tuned
+      break;
   }
   const Result r = clover2d::run(v);
   EXPECT_LT(rel_diff(r.checksum, ref.checksum), 1e-11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, Clover2DVariants,
-                         ::testing::Values(0, 1, 2, 3));
+                         ::testing::Values(0, 1, 2, 3, 4, 5));
 
 TEST(CloverLeaf2D, TiledIsBitwiseIdenticalSerially) {
   Options o;
@@ -150,6 +165,34 @@ TEST(TiledHaloDepth, AppConstantsEqualChainNeededDepth) {
        {opensbli::Variant::StoreAll, opensbli::Variant::StoreNone})
     EXPECT_EQ(opensbli::run(o, v).instr.tiling().needed_depth,
               opensbli::tiled_halo_depth(v));
+}
+
+/// A decomposition whose local extent cannot hold the halo is rejected
+/// once, before any rank launches, with one bwlab::Error, not once per
+/// rank thread inside a MultiRankError.
+TEST(TiledHaloDepth, ImpossibleDecompositionRejectedBeforeRanksLaunch) {
+  const auto expect_one_error = [](const char* app,
+                                   const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << app << ": expected an error";
+    } catch (const par::MultiRankError& e) {
+      ADD_FAILURE() << app << ": rejected inside the rank threads: "
+                    << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("local extent"), std::string::npos)
+          << app << ": " << e.what();
+    }
+  };
+  Options o;  // n = 32: 8 ranks leave 8 (2D) or 16 (3D) per dimension
+  o.ranks = 8;
+  o.iterations = 1;
+  o.tiled = true;
+  expect_one_error("clover2d", [&] { clover2d::run(o); });
+  expect_one_error("clover3d", [&] { clover3d::run(o); });
+  o.n = 20;  // 10 per dimension, below StoreAll's depth of 11
+  expect_one_error("opensbli",
+                   [&] { opensbli::run(o, opensbli::Variant::StoreAll); });
 }
 
 // --- Acoustic ----------------------------------------------------------------

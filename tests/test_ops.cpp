@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -275,6 +276,41 @@ TEST(Dat, RefreshOfWrittenPeriodicImageRowsKeepsCorners) {
         ASSERT_EQ(part.alloc_data()[i], full.alloc_data()[i])
             << "stagger " << sx << " rotation " << rot << " element " << i;
     }
+}
+
+/// A team builds, fills and boundary-fills a Dat exactly as the calling
+/// thread alone does: the constructor's first touch, fill() and the
+/// team-split ghost fills of exchange_halos, compared bit for bit over
+/// the whole allocation, ghosts included.
+TEST(Dat, TeamBuiltDatEqualsSerialBitwise) {
+  for (int nd = 1; nd <= 3; ++nd) {
+    Context serial_ctx, team_ctx(4);
+    const std::array<idx_t, 3> size{13, nd > 1 ? 11 : 1, nd > 2 ? 9 : 1};
+    Block sb(serial_ctx, "g", nd, size), tb(team_ctx, "g", nd, size);
+    Dat<double> s(sb, "u", 3, {1, 0, 1}, 0.25), t(tb, "u", 3, {1, 0, 1}, 0.25);
+    const auto same = [&](const char* step) {
+      ASSERT_EQ(s.alloc_count(), t.alloc_count());
+      EXPECT_EQ(std::memcmp(s.alloc_data(), t.alloc_data(),
+                            s.alloc_count() * sizeof(double)),
+                0)
+          << nd << "D, " << step;
+    };
+    same("constructed");
+    for (Dat<double>* u : {&s, &t}) {
+      for (int d = 0; d < nd; ++d) {
+        u->set_bc(d, 0, d == 0 ? Bc::ReflectNeg : Bc::CopyNearest);
+        u->set_bc(d, 1, Bc::Reflect);
+      }
+      u->fill_indexed([](idx_t i, idx_t j, idx_t k) {
+        return std::sin(0.7 * double(i) + 0.3 * double(j) - double(k));
+      });
+      u->exchange_halos();
+    }
+    same("boundary-filled");
+    s.fill(-1.5);
+    t.fill(-1.5);
+    same("filled");
+  }
 }
 
 // --- par_loop ----------------------------------------------------------------
@@ -650,7 +686,7 @@ TEST(AutoTileHeight, RoundTripsIntoReportJson) {
 }
 
 /// Determinism satellite: a tiled CloverLeaf 2D run must produce the
-/// identical checksum for pool sizes 1, 2 and 4.
+/// identical checksum for pool sizes 1, 2, 3 and 4 (3 deals uneven slabs).
 TEST(Tiling, CloverLeaf2DDeterministicAcrossPoolSizes) {
   auto checksum = [](int threads) {
     apps::Options o;
@@ -663,6 +699,7 @@ TEST(Tiling, CloverLeaf2DDeterministicAcrossPoolSizes) {
   };
   const double ref = checksum(1);
   EXPECT_EQ(checksum(2), ref);
+  EXPECT_EQ(checksum(3), ref);
   EXPECT_EQ(checksum(4), ref);
 }
 

@@ -2,6 +2,7 @@
 // threads), and cartesian partitioning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -43,6 +44,30 @@ TEST_P(PoolSizes, RunExecutesEveryMember) {
   std::vector<std::atomic<int>> seen(static_cast<std::size_t>(pool.size()));
   pool.run([&](int tid) { seen[static_cast<std::size_t>(tid)].fetch_add(1); });
   for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+}
+
+// Each member writes its own slot (a plain int), then checks every slot
+// after the barrier: only the barrier orders those accesses, so a missing
+// or early release shows as a stale value (and as a race under TSan). The
+// second barrier keeps the next round's writes behind this round's reads.
+// Several regions reuse the barrier's phase.
+TEST_P(PoolSizes, BarrierPublishesEveryMembersWrites) {
+  ThreadPool pool(GetParam());
+  const int n = pool.size();
+  std::vector<int> slot(static_cast<std::size_t>(n), -1);
+  std::atomic<int> stale{0};
+  for (int region = 0; region < 3; ++region)
+    pool.run([&](int tid) {
+      for (int round = 0; round < 300; ++round) {
+        const int stamp = region * 1000 + round;
+        slot[static_cast<std::size_t>(tid)] = stamp;
+        pool.barrier();
+        for (int m = 0; m < n; ++m)
+          if (slot[static_cast<std::size_t>(m)] != stamp) stale.fetch_add(1);
+        pool.barrier();
+      }
+    });
+  EXPECT_EQ(stale.load(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PoolSizes, ::testing::Values(1, 2, 3, 7));
@@ -378,6 +403,21 @@ TEST(SimMpi, WatchdogIgnoresSlowButLiveRanks) {
       },
       ro);
   EXPECT_EQ(stats.size(), 2u);
+}
+
+// Stopping the watchdog must not wait out its poll: at the default 1000 ms
+// grace it polls every 100 ms, and a no-op run returns well before that.
+TEST(SimMpi, WatchdogStopsWithoutWaitingForItsPoll) {
+  std::vector<double> ms;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    run_ranks(2, [](Comm&) {});
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  EXPECT_LT(ms[2], 50.0) << "median of 5 no-op 2-rank runs";
 }
 
 // --- Partitioning -----------------------------------------------------------

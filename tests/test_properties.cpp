@@ -417,7 +417,7 @@ void expect_fuzz_dats_equal(const DatPtrs& got, const DatPtrs& ref,
 
 TEST(FuzzChains, TiledParallelBitwiseEqualsEagerForRandomChains) {
   const idx_t heights[] = {2, 5, 9, 64, 1000};  // 1000 >> the 24-row domain
-  const int pools[] = {1, 2, 4};
+  const int pools[] = {1, 2, 3, 4};
   std::mt19937 rng(20260805u);
   for (int trial = 0; trial < 12; ++trial) {
     const FuzzSpec spec = random_spec(rng);
@@ -534,7 +534,7 @@ DatMoveMap datmove_map(const Instrumentation& instr) {
 TEST(FuzzChains, CountedBytesIdenticalAcrossPoolsAndTileHeights) {
   const DatMoveGuard guard;
   const idx_t heights[] = {2, 5, 9, 64, 1000};
-  const int pools[] = {1, 2, 4};
+  const int pools[] = {1, 2, 3, 4};
   std::mt19937 rng(31337u);
   for (int trial = 0; trial < 3; ++trial) {
     const FuzzSpec spec = random_spec(rng);
