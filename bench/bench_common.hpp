@@ -38,6 +38,25 @@ inline double best_time(const core::AppInfo& a, const sim::MachineModel& m,
   return best;
 }
 
+/// The A/B regression gate of the gb_*_overhead ping-pong trip wires:
+/// `cand` regressed against `base` only when its median exceeds
+/// base·(1 + budget) + slack AND the median ± 3·MAD intervals are
+/// disjoint (benchjson::compare_metric's rule), so a noisy host episode
+/// that overlaps the baseline never fails a run. The returned verdict is
+/// Regressed exactly then.
+inline benchjson::MetricDelta ab_gate(const std::string& suite,
+                                      const benchjson::Metric& base,
+                                      const benchjson::Metric& cand,
+                                      double budget, double slack) {
+  benchjson::GateOptions gate;
+  gate.threshold = budget;
+  benchjson::MetricDelta d = benchjson::compare_metric(suite, base, cand, gate);
+  if (d.verdict == benchjson::Verdict::Regressed &&
+      d.cand_median <= d.base_median * (1.0 + budget) + slack)
+    d.verdict = benchjson::Verdict::Ok;
+  return d;
+}
+
 /// Prints `t` as text or CSV depending on --csv.
 inline void emit(const Cli& cli, const Table& t) {
   if (cli.get_bool("csv", false)) {

@@ -93,10 +93,9 @@ int main(int argc, char** argv) {
                                  benchjson::Better::Lower, hooked_s};
   for (const benchjson::Metric* m : {&base, &hooked})
     run.record(m->name, m->unit, m->better, m->samples);
-  benchjson::GateOptions gate;
-  gate.threshold = kSendRegressionBudget - 1.0;
   const benchjson::MetricDelta pp =
-      benchjson::compare_metric("gb_fault_overhead", base, hooked, gate);
+      bench::ab_gate("gb_fault_overhead", base, hooked,
+                     kSendRegressionBudget - 1.0, 200.0);
 
   std::printf("fault on_send hook, no plan: %.3f ns (budget %.1f ns)\n",
               send_hook_ns, kHookBudgetNs);
@@ -119,8 +118,7 @@ int main(int argc, char** argv) {
   // median to median with a generous bound, and only where the noise
   // intervals separate — this is a regression trip wire for accidental
   // locking on the no-fault path, not a profiler.
-  if (pp.verdict == benchjson::Verdict::Regressed &&
-      pp.cand_median > pp.base_median * kSendRegressionBudget + 200.0) {
+  if (pp.verdict == benchjson::Verdict::Regressed) {
     std::fprintf(stderr,
                  "FAIL: inert fault plan slowed send/recv %.1f -> %.1f ns\n",
                  pp.base_median, pp.cand_median);

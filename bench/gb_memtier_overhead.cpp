@@ -12,6 +12,7 @@
 
 #include "bench/bench_common.hpp"
 #include "common/memtier.hpp"
+#include "core/memtier.hpp"
 #include "sim/machine.hpp"
 
 using namespace bwlab;
@@ -37,11 +38,8 @@ int main(int argc, char** argv) {
 
   // Enabled path for reference only (map insert on first sight, lookup
   // after): measured, recorded, not asserted.
-  memtier::Config cfg;
-  cfg.policy = "auto";
-  cfg.numa_domains = sim::max9480().total_numa();
-  for (const sim::MemoryTier& t : sim::machine_by_id("max9480-flat").tiers)
-    cfg.tiers.push_back({t.name, t.capacity_bytes, t.bw_bytes_per_s});
+  const memtier::Config cfg =
+      core::memtier_config(sim::machine_by_id("max9480-flat"), "auto");
   memtier::install(cfg);
   const double enabled_ns =
       run.time_ns_per_iter("alloc_hook.enabled", kIters / 200, [&] {

@@ -8,8 +8,9 @@
 // exit) if
 //   * the disabled-path Comm hook exceeds its 5 ns budget, or
 //   * a disabled policy slows the send/recv round-trip by more than 25%
-//     against the same loop with the policy cleared (they are the same
-//     code path; this is the accidental-locking trip wire).
+//     + 200 ns against the same loop with the policy cleared, with
+//     disjoint median ± 3·MAD intervals (bench::ab_gate; they are the
+//     same code path, so this is the accidental-locking trip wire).
 // The resil-on ping-pong is recorded for the trajectory (it pays the
 // replay-log copy by design) but carries no budget here.
 #include <cstdint>
@@ -85,10 +86,15 @@ int main(int argc, char** argv) {
       });
   for (std::vector<double>* v : {&base_s, &off_s})
     for (double& s : *v) s = s * 1e9 / (2.0 * kMsgs);
-  const double base_ns = run.record("pingpong.no_policy", "ns",
-                                    benchjson::Better::Lower, base_s);
-  const double off_ns = run.record("pingpong.disabled_policy", "ns",
-                                   benchjson::Better::Lower, off_s);
+  const benchjson::Metric base{"pingpong.no_policy", "ns",
+                               benchjson::Better::Lower, base_s};
+  const benchjson::Metric off_m{"pingpong.disabled_policy", "ns",
+                                benchjson::Better::Lower, off_s};
+  for (const benchjson::Metric* m : {&base, &off_m})
+    run.record(m->name, m->unit, m->better, m->samples);
+  const benchjson::MetricDelta pp =
+      bench::ab_gate("gb_resil_overhead", base, off_m,
+                     kSendRegressionBudget - 1.0, 200.0);
 
   // Enabled path, no faults: pays the sequence stamp + replay-log copy.
   // Recorded for the trajectory; no budget asserted here.
@@ -103,9 +109,12 @@ int main(int argc, char** argv) {
 
   std::printf("resil Comm hook, no policy: %.3f ns (budget %.1f ns)\n",
               hook_ns, kHookBudgetNs);
-  std::printf("send/recv ping-pong: %.1f ns no policy, %.1f ns disabled "
-              "policy (budget %.0f%%), %.1f ns enabled\n",
-              base_ns, off_ns, (kSendRegressionBudget - 1.0) * 100.0, on_ns);
+  std::printf("send/recv ping-pong (median ± MAD): %.1f ± %.1f ns no policy, "
+              "%.1f ± %.1f ns disabled policy (budget %.0f%%, gate %s), "
+              "%.1f ns enabled\n",
+              pp.base_median, pp.base_mad, pp.cand_median, pp.cand_mad,
+              (kSendRegressionBudget - 1.0) * 100.0,
+              benchjson::to_string(pp.verdict), on_ns);
   run.finish();
 
   bool ok = true;
@@ -115,13 +124,14 @@ int main(int argc, char** argv) {
     ok = false;
   }
   // Thread scheduling makes single ping-pong timings noisy; compare
-  // median to median with a generous bound — a trip wire for accidental
-  // locking on the resil-off path, not a profiler.
-  if (off_ns > base_ns * kSendRegressionBudget + 200.0) {
+  // median to median with a generous bound, and only where the noise
+  // intervals separate — a trip wire for accidental locking on the
+  // resil-off path, not a profiler.
+  if (pp.verdict == benchjson::Verdict::Regressed) {
     std::fprintf(stderr,
                  "FAIL: disabled resil policy slowed send/recv "
                  "%.1f -> %.1f ns\n",
-                 base_ns, off_ns);
+                 pp.base_median, pp.cand_median);
     ok = false;
   }
   if (!ok) return EXIT_FAILURE;

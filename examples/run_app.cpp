@@ -14,11 +14,15 @@
 //                   (default max9480); --attr-tol=X sets the drift
 //                   tolerance (default 0.25).
 //   --datmove       bwmem: count exact per-loop/per-dat bytes moved,
-//                   print the data-movement, tier-traffic, and reuse
-//                   tables, and add a "datmove" section to --report.
-//                   --placement=auto|hbm|ddr|firsttouch picks the
-//                   dat->tier what-if policy; --byte-tol=X sets the
-//                   counted-vs-modeled byte-drift tolerance (default 0.10).
+//                   print the data-movement, tier-placement, and reuse
+//                   tables, and add a "datmove" section to --report. The
+//                   dat->tier map follows --place (default auto);
+//                   --byte-tol=X sets the counted-vs-modeled byte-drift
+//                   tolerance (default 0.10).
+//   --tile=off|auto|H  off (default) runs eager; auto runs the tiled
+//                   executor with the tile height sized from the chain
+//                   footprint and --machine's cache budget; H >= 1 fixes
+//                   the tile height in outer-dim rows.
 //
 // Memory modes (memtier):
 //   --mode=hbm|flat|cache  memory mode of the machine: resolves the
@@ -28,13 +32,14 @@
 //                   variant (one NUMA domain per socket)
 //   --place=auto|hbm|ddr|firsttouch  installs the tier-aware allocator:
 //                   every Dat constructed during the run is placed on a
-//                   memory tier, the decisions feed the datmove tier
-//                   attribution and the "memtier" report section
+//                   memory tier (common/memtier.hpp). Any of these three
+//                   flags arms --datmove, whose tier table reports the
+//                   placement, and adds the "memtier" report section.
 //
 // Examples:
 //   ./build/examples/run_app --app=clover2d --n=64 --iters=3 --ranks=2
 //       --threads=2 --trace=clover2d.trace.json --report=clover2d.json
-//   ./build/examples/run_app --app=clover2d --tiled --n=24 --iters=2
+//   ./build/examples/run_app --app=clover2d --tile=auto --n=24 --iters=2
 //       --trace=tiled.trace.json
 //
 // Robustness (bwfault):
@@ -55,6 +60,8 @@
 //   --backoff-us=U       initial retry backoff, doubles per attempt
 //   --degraded           when retries exhaust, continue with stale halo
 //                        data instead of blocking
+#include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -157,25 +164,26 @@ int main(int argc, char** argv) {
   if (cli.has("help")) {
     std::cout << "usage: " << cli.program() << " [APP | --app=NAME] [options]\n"
               << "  apps: " << kApps << "\n"
-              << "  --n=N --iters=I --ranks=R --threads=T --tiled\n"
-              << "  --tile-size=S --tile=auto|H --mode=0|1|2 --scenario=K\n"
+              << "  --n=N --iters=I --ranks=R --threads=T\n"
+              << "  --tile=off|auto|H --mode=0|1|2 --scenario=K\n"
               << "  --seed=S\n"
               << "  --trace=FILE --metrics=FILE --report=FILE --summary\n"
               << "  --causal --trace-buffer=N\n"
               << "  --diff-against=REPORT.json (print the bwdiff delta "
                  "tables vs a saved run)\n"
-              << "  --datmove --placement=auto|hbm|ddr|firsttouch\n"
+              << "  --datmove --byte-tol=X\n"
               << "  --mode=hbm|flat|cache --snc=0|1 "
                  "--place=auto|hbm|ddr|firsttouch\n"
               << "  --machine=ID --attr-tol=X\n"
               << "  --faults=SPEC --watchdog-ms=G --checkpoint-every=K\n"
               << "  --nan-guard=0|1|2\n"
               << "  --resil --retry-max=N --backoff-us=U --degraded\n"
-              << "  --live --live-interval-ms=M --live-status "
-                 "--live-listen=PORT|unix:PATH\n"
+              << "  --live --live-interval-ms=M --live-status\n"
               << "  --live-out=FILE --live-ring=N --live-stall-windows=W\n";
     return 0;
   }
+  for (const char* gone : {"tiled", "tile-size", "placement", "live-listen"})
+    BWLAB_REQUIRE(!cli.has(gone), "--" << gone << " was removed; see --help");
   const std::string app = canonical_app(
       cli.positional().empty() ? cli.get("app", "clover2d")
                                : cli.positional().front());
@@ -184,8 +192,6 @@ int main(int argc, char** argv) {
   opt.iterations = static_cast<int>(cli.get_int("iters", 3));
   opt.ranks = static_cast<int>(cli.get_int("ranks", 1));
   opt.threads = static_cast<int>(cli.get_int("threads", 1));
-  opt.tiled = cli.get_bool("tiled", false);
-  opt.tile_size = cli.get_int("tile-size", 0);
   // The attribution machine also scopes the tile-height auto-tuner's
   // cache budget, so resolve it before dispatch. --mode doubles as the
   // memory-mode selector: a string value resolves the machine's
@@ -198,18 +204,18 @@ int main(int argc, char** argv) {
   if (mode_is_memory) machine_id += "-" + mode;
   if (!cli.get_bool("snc", true)) machine_id += "-quad";
   const sim::MachineModel& machine = sim::machine_by_id(machine_id);
-  const std::string tile = cli.get("tile", "");
-  if (!tile.empty()) {
-    // --tile=H implies --tiled; --tile=auto lets the executor size the
-    // tile from the chain footprint and the machine's cache capacity.
+  const std::string tile = cli.get("tile", "off");
+  if (tile == "auto") {
     opt.tiled = true;
-    if (tile == "auto") {
-      opt.tile_size = 0;
-      opt.tile_cache_bytes =
-          core::tile_cache_budget_bytes(machine, std::max(opt.threads, 1));
-    } else {
-      opt.tile_size = std::stoll(tile);
-    }
+    opt.tile_cache_bytes =
+        core::tile_cache_budget_bytes(machine, std::max(opt.threads, 1));
+  } else if (tile != "off") {
+    char* end = nullptr;
+    opt.tile_size = std::strtoll(tile.c_str(), &end, 10);
+    BWLAB_REQUIRE(*end == '\0' && opt.tile_size >= 1,
+                  "--tile must be off, auto or a height >= 1, got '" << tile
+                                                                     << "'");
+    opt.tiled = true;
   }
   opt.exec_mode =
       mode_is_memory ? 0 : static_cast<int>(cli.get_int("mode", 0));
@@ -225,27 +231,27 @@ int main(int argc, char** argv) {
   if (!obs.trace_path.empty() || obs.causal)
     trace::enable(static_cast<std::size_t>(
         cli.get_int("trace-buffer", 1LL << 20)));
-  // bwmem: exact data-movement accounting must be armed before dispatch
-  // so every par_loop counts its descriptor x executed-range bytes.
-  const bool datmove_on = cli.get_bool("datmove", false);
-  if (datmove_on) core::DataMoveProfiler::enable();
-
   // memtier: any of --place / --mode=<memory mode> / --snc arms the
   // tier-aware allocator (installed before dispatch so every Dat
-  // constructor records its placement) and the "memtier" report section.
-  const std::string place = cli.get("place", "");
-  const bool memtier_on = !place.empty() || mode_is_memory || cli.has("snc");
-  const std::string place_policy = place.empty() ? "auto" : place;
-  if (memtier_on) core::install_memtier_allocator(machine, place_policy);
+  // constructor records its allocation) and the "memtier" report section,
+  // whose pricing and per-tier join come from counted bytes.
+  const bool memtier_on =
+      cli.has("place") || mode_is_memory || cli.has("snc");
+  const std::string place_policy = cli.get("place", "auto");
+  if (memtier_on)
+    memtier::install(core::memtier_config(machine, place_policy));
+  // bwmem: exact data-movement accounting must be armed before dispatch
+  // so every par_loop counts its descriptor x executed-range bytes.
+  const bool datmove_on = cli.get_bool("datmove", false) || memtier_on;
+  if (datmove_on) core::DataMoveProfiler::enable();
 
   // bwlive: opt-in per-run sampling — any --live-* flag arms it. Started
   // before dispatch so every run_ranks world registers its per-rank
   // census, and stopped on both the success and the failure path (the
   // series up to a watchdog abort is exactly what one wants to look at).
   const bool live_on = cli.has("live") || cli.has("live-interval-ms") ||
-                       cli.has("live-status") || cli.has("live-listen") ||
-                       cli.has("live-out") || cli.has("live-ring") ||
-                       cli.has("live-stall-windows");
+                       cli.has("live-status") || cli.has("live-out") ||
+                       cli.has("live-ring") || cli.has("live-stall-windows");
   live::Config live_cfg;
   std::string live_out;
   if (live_on) {
@@ -256,20 +262,8 @@ int main(int argc, char** argv) {
         static_cast<int>(cli.get_int("live-stall-windows", 4));
     live_cfg.status_line = cli.get_bool("live-status", false);
     live_cfg.roof_bytes_per_s = core::live_roof_bytes_per_s(machine);
-    const std::string listen = cli.get("live-listen", "");
-    if (!listen.empty()) {
-      if (listen.rfind("unix:", 0) == 0)
-        live_cfg.listen_unix = listen.substr(5);
-      else
-        live_cfg.listen_port = static_cast<int>(std::stoll(listen));
-    }
     live_out = cli.get("live-out", "TIMESERIES_" + app + ".json");
     live::start(live_cfg);
-    // Flushed immediately: a scraper needs the (possibly ephemeral) port
-    // while the run is still in flight, even with stdout redirected.
-    if (live::bound_port() >= 0)
-      std::cout << "live metrics endpoint on http://127.0.0.1:"
-                << live::bound_port() << "/metrics" << std::endl;
   }
   const auto finish_live = [&]() {
     live::TimeSeries ts;
@@ -332,16 +326,16 @@ int main(int argc, char** argv) {
   core::DatMoveReport dm;
   if (datmove_on) {
     core::DataMoveProfiler::disable();
-    dm = core::DataMoveProfiler::analyze(
-        result.instr, &machine, cli.get("placement", place_policy));
+    dm = core::DataMoveProfiler::analyze(result.instr, &machine,
+                                         place_policy);
   }
-  // memtier: snapshot the allocator's tier map plus the mode pricing and
-  // per-tier loop roofs into the report section, then release the
-  // allocator (its gate must not outlive the run).
+  // memtier: the mode pricing and per-tier loop roofs (over datmove's tier
+  // map) into the report section, then release the allocator (its gate
+  // must not outlive the run).
   core::MemTierSection mt;
   if (memtier_on) {
     mt = core::build_memtier_section(result.instr, machine, place_policy,
-                                     datmove_on ? &dm : nullptr);
+                                     &dm);
     memtier::uninstall();
   }
   // Provenance stamp: commit, machine model, exact command line, seed —
@@ -430,12 +424,11 @@ int main(int argc, char** argv) {
     core::datmove_reuse_table(dm).print(std::cout);
   }
   if (memtier_on) {
-    std::cout << "\n";
-    core::memtier_table(mt).print(std::cout);
-    if (!mt.loop_roofs.empty()) {
-      std::cout << "\n";
-      core::memtier_roof_table(mt).print(std::cout);
-    }
+    std::cout << "\nmemtier: " << mt.machine_id << ", mode " << mt.mode
+              << (mt.snc ? ", SNC" : "") << ", place " << mt.place
+              << ": HBM hit fraction " << mt.hbm_hit_fraction
+              << ", est. spill " << mt.est_spill_bytes << " B\n\n";
+    core::memtier_roof_table(mt).print(std::cout);
   }
   // bwdiff: compare this run against a saved baseline report at exit.
   const std::string diff_against = cli.get("diff-against", "");

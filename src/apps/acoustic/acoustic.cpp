@@ -14,6 +14,7 @@ const double kStencilWeights[5] = {-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0,
 namespace {
 
 using real = float;
+constexpr int kHaloDepth = 4;  // the 8th-order stencil's radius
 
 struct Solver {
   ops::Context& ctx;
@@ -26,9 +27,9 @@ struct Solver {
       : ctx(c), n(n_),
         c2dt2(static_cast<real>(courant * courant)),
         block(c, "acoustic", 3, {n_, n_, n_}),
-        u_prev(block, "u_prev", 4),
-        u_curr(block, "u_curr", 4),
-        u_next(block, "u_next", 4) {
+        u_prev(block, "u_prev", kHaloDepth),
+        u_curr(block, "u_curr", kHaloDepth),
+        u_next(block, "u_next", kHaloDepth) {
     for (ops::Dat<real>* d : {&u_prev, &u_curr, &u_next})
       d->set_bc_all(ops::Bc::Periodic);
   }
@@ -103,6 +104,7 @@ struct Solver {
 
 Result run(const Options& opt) {
   apply_robustness(opt);
+  require_local_extent("acoustic", opt, {opt.n, opt.n, opt.n}, kHaloDepth, 0);
   Result result;
   const double courant = 0.3;  // well inside the 8th-order stability bound
   auto run_rank = [&](par::Comm* comm) {

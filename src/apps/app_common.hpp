@@ -5,6 +5,7 @@
 // instrumentation records the profile extractor consumes.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <string>
@@ -61,21 +62,25 @@ inline par::RunOptions run_options(const Options& opt) {
   return ro;
 }
 
-/// Rejects, before any rank launches, a decomposition of the app's
-/// n^ndims grid over opt.ranks whose smallest local extent cannot hold a
-/// halo of `depth` plus `stagger` (ops::Dat's requirement). Without it,
-/// every rank thread fails the same way inside run_ranks.
+/// Rejects, before any rank launches, a decomposition of the app's grid
+/// (`extents`, one per dimension) over opt.ranks whose smallest local
+/// extent cannot hold a halo of `depth` plus `stagger` (ops::Dat's
+/// requirement). Without it, every rank thread fails the same way inside
+/// run_ranks.
 inline void require_local_extent(const char* app, const Options& opt,
-                                 int ndims, int depth, int stagger) {
+                                 const std::vector<idx_t>& extents, int depth,
+                                 int stagger) {
+  const int ndims = static_cast<int>(extents.size());
   std::array<idx_t, 3> size{1, 1, 1};
-  for (int d = 0; d < ndims; ++d) size[static_cast<std::size_t>(d)] = opt.n;
+  std::copy(extents.begin(), extents.end(), size.begin());
   const par::CartGrid grid(opt.ranks, ndims, size);
   for (int d = 0; d < ndims; ++d) {
+    const auto ds = static_cast<std::size_t>(d);
     // block_range balances to within one: the smallest part is the floor.
-    const idx_t smallest = opt.n / grid.dims[static_cast<std::size_t>(d)];
+    const idx_t smallest = size[ds] / grid.dims[ds];
     BWLAB_REQUIRE(smallest >= depth + stagger,
-                  app << ": " << opt.ranks << " ranks over n=" << opt.n
-                      << " leave a local extent of " << smallest
+                  app << ": " << opt.ranks << " ranks over extent "
+                      << size[ds] << " leave a local extent of " << smallest
                       << " in dim " << d << ", smaller than the "
                       << (opt.tiled ? "tiled " : "") << "halo depth "
                       << depth << " + stagger " << stagger);

@@ -389,7 +389,7 @@ Result run(const Options& opt) {
   apply_robustness(opt);
   const int depth = opt.tiled ? kTiledHaloDepth : 2;
   // Velocities and fluxes are staggered by one node.
-  require_local_extent("clover2d", opt, 2, depth, 1);
+  require_local_extent("clover2d", opt, {opt.n, opt.n}, depth, 1);
   Result result;
   const RunRecovery recovery(opt);
 

@@ -301,6 +301,9 @@ struct Solver {
 
 Result run(const Options& opt) {
   apply_robustness(opt);
+  const idx_t nz = std::max<idx_t>(opt.n / 2, 8);
+  // Fluxes are staggered by one interface.
+  require_local_extent("miniweather", opt, {opt.n, nz}, 2, 1);
   Result result;
   const RunRecovery recovery(opt);
 
@@ -309,7 +312,7 @@ Result run(const Options& opt) {
     std::unique_ptr<ops::Context> ctx =
         comm ? std::make_unique<ops::Context>(*comm, opt.threads)
              : std::make_unique<ops::Context>(opt.threads);
-    Solver s(*ctx, opt.n, std::max<idx_t>(opt.n / 2, 8));
+    Solver s(*ctx, opt.n, nz);
     s.initialize();
     const Solver::Summary s0 = s.summary();
     auto each_field = [&s](auto&& fn) {

@@ -368,7 +368,7 @@ Result run(const Options& opt, Variant variant) {
   apply_robustness(opt);
   const int depth = opt.tiled ? tiled_halo_depth(variant) : 2;
   // Every field is cell-centred.
-  require_local_extent("opensbli", opt, 3, depth, 0);
+  require_local_extent("opensbli", opt, {opt.n, opt.n, opt.n}, depth, 0);
   Result result;
   auto run_rank = [&](par::Comm* comm) {
     std::unique_ptr<ops::Context> ctx =

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/error.hpp"
 
@@ -16,59 +16,60 @@ namespace {
 
 std::mutex g_mu;
 Config g_cfg;
-// Remaining packable capacity per tier (parallel to g_cfg.tiers);
-// negative values never occur — a tier that cannot hold the next dat is
-// skipped whole, mirroring a page-granular but dat-contiguous placement.
-std::vector<double> g_remaining;
-std::vector<Placement> g_placements;
-std::unordered_map<std::string, std::size_t> g_index;
+std::vector<Placement> g_allocs;
+std::unordered_set<std::string> g_seen;
 
-// The packing walk shared by auto and firsttouch: first tier (fastest
-// first) that is unbounded or still fits the dat; when nothing fits, the
-// slowest tier takes the overflow (DRAM never refuses an allocation).
-std::size_t pack(std::uint64_t bytes) {
-  for (std::size_t i = 0; i < g_cfg.tiers.size(); ++i) {
-    if (g_cfg.tiers[i].capacity_bytes <= 0) return i;  // unbounded
-    if (g_remaining[i] >= static_cast<double>(bytes)) return i;
-  }
-  return g_cfg.tiers.size() - 1;
-}
-
-std::size_t decide(std::uint64_t bytes) {
-  if (g_cfg.policy == "auto" || g_cfg.policy == "firsttouch")
-    return pack(bytes);
-  for (std::size_t i = 0; i < g_cfg.tiers.size(); ++i)
-    if (g_cfg.tiers[i].name == g_cfg.policy) return i;
-  return 0;  // unreachable: install() validated the pin
+void validate(const Config& cfg) {
+  BWLAB_REQUIRE(!cfg.tiers.empty(), "memtier: config needs at least one tier");
+  BWLAB_REQUIRE(cfg.numa_domains >= 1,
+                "memtier: numa_domains must be >= 1, got " << cfg.numa_domains);
+  if (cfg.policy == "auto" || cfg.policy == "firsttouch") return;
+  bool found = false;
+  for (const Tier& t : cfg.tiers) found = found || t.name == cfg.policy;
+  BWLAB_REQUIRE(found, "memtier: policy '" << cfg.policy
+                       << "' names no tier of this machine"
+                       << " (expected auto|firsttouch or a tier name)");
 }
 
 }  // namespace
 
-void install(Config cfg) {
-  BWLAB_REQUIRE(!cfg.tiers.empty(), "memtier: config needs at least one tier");
-  BWLAB_REQUIRE(cfg.numa_domains >= 1,
-                "memtier: numa_domains must be >= 1, got " << cfg.numa_domains);
-  const bool packing = cfg.policy == "auto" || cfg.policy == "firsttouch";
-  if (!packing) {
-    bool found = false;
-    for (const Tier& t : cfg.tiers) found = found || t.name == cfg.policy;
-    BWLAB_REQUIRE(found, "memtier: policy '" << cfg.policy
-                         << "' names no tier of this machine"
-                         << " (expected auto|firsttouch or a tier name)");
+std::vector<Placement> place(const Config& cfg, std::vector<Placement> allocs) {
+  validate(cfg);
+  const std::size_t n = cfg.tiers.size();
+  std::size_t pinned = n;
+  for (std::size_t i = 0; i < n; ++i)
+    if (cfg.tiers[i].name == cfg.policy) pinned = i;
+  // Remaining packable capacity per tier. First-touch pages land in the
+  // allocating NUMA domain, so each domain packs only its SNC slice.
+  std::vector<double> remaining;
+  for (const Tier& t : cfg.tiers)
+    remaining.push_back(cfg.policy == "firsttouch"
+                            ? t.capacity_bytes / cfg.numa_domains
+                            : t.capacity_bytes);
+  for (Placement& a : allocs) {
+    const auto bytes = static_cast<double>(a.bytes);
+    std::size_t t = pinned;
+    if (t == n) {
+      // A tier that cannot hold the dat is skipped whole, mirroring a
+      // page-granular but dat-contiguous placement.
+      t = 0;
+      while (t + 1 < n && cfg.tiers[t].capacity_bytes > 0 &&
+             remaining[t] < bytes)
+        ++t;
+    }
+    if (cfg.tiers[t].capacity_bytes > 0)
+      remaining[t] = std::max(0.0, remaining[t] - bytes);
+    a.tier = cfg.tiers[t].name;
   }
+  return allocs;
+}
+
+void install(Config cfg) {
+  validate(cfg);
   std::lock_guard<std::mutex> lock(g_mu);
   g_cfg = std::move(cfg);
-  g_remaining.clear();
-  for (const Tier& t : g_cfg.tiers) {
-    double cap = t.capacity_bytes;
-    // First-touch pages land in the allocating NUMA domain, so each
-    // domain can only pack its SNC slice of the tier.
-    if (g_cfg.policy == "firsttouch")
-      cap /= static_cast<double>(g_cfg.numa_domains);
-    g_remaining.push_back(cap);
-  }
-  g_placements.clear();
-  g_index.clear();
+  g_allocs.clear();
+  g_seen.clear();
   detail::g_on.enable();
 }
 
@@ -76,9 +77,8 @@ void uninstall() {
   detail::g_on.disable();
   std::lock_guard<std::mutex> lock(g_mu);
   g_cfg = Config{};
-  g_remaining.clear();
-  g_placements.clear();
-  g_index.clear();
+  g_allocs.clear();
+  g_seen.clear();
 }
 
 namespace detail {
@@ -86,26 +86,20 @@ namespace detail {
 void record(const std::string& name, std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(g_mu);
   if (g_cfg.tiers.empty()) return;  // raced with uninstall()
-  if (g_index.count(name)) return;  // first allocation decided already
-  const std::size_t t = decide(bytes);
-  if (g_cfg.tiers[t].capacity_bytes > 0)
-    g_remaining[t] =
-        std::max(0.0, g_remaining[t] - static_cast<double>(bytes));
-  g_index.emplace(name, g_placements.size());
-  g_placements.push_back({name, g_cfg.tiers[t].name, bytes});
+  if (g_seen.insert(name).second) g_allocs.push_back({name, "", bytes});
 }
 
 }  // namespace detail
 
-std::vector<Placement> placements() {
+std::vector<Placement> allocations() {
   std::lock_guard<std::mutex> lock(g_mu);
-  return g_placements;
+  return g_allocs;
 }
 
-std::string tier_of(const std::string& name) {
+std::vector<Placement> placements() {
   std::lock_guard<std::mutex> lock(g_mu);
-  auto it = g_index.find(name);
-  return it == g_index.end() ? std::string() : g_placements[it->second].tier;
+  if (g_cfg.tiers.empty()) return {};
+  return place(g_cfg, g_allocs);
 }
 
 Config config() {

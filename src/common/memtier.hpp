@@ -1,11 +1,15 @@
-// memtier: the tier-aware dat allocator (the executable half of the
-// memory-mode model). ops::Dat and op2::Dat call on_alloc() from their
-// constructors; when a placement config is installed the allocator
-// assigns each dat to a memory tier (HBM/DDR) by policy, and those
-// decisions flow into the DataMoveProfiler's tier attribution and the
-// run report's "memtier" section. Like every always-on layer the hook is
-// compiled in and gated: the disabled fast path is one relaxed load plus
-// a branch (asserted < 5 ns by bench/gb_memtier_overhead).
+// memtier: the one dat -> memory-tier placement engine (the executable
+// half of the memory-mode model). place() is the packer: a pure function
+// from a Config and the allocations in order to a tier per dat. Two
+// callers share it, so a policy name has one meaning everywhere:
+//  - the live allocator. ops::Dat and op2::Dat call on_alloc() from their
+//    constructors; while a Config is installed the allocations are
+//    recorded and placements() packs them.
+//  - the DataMoveProfiler's what-if (core/datmove.cpp), which replays the
+//    counted dats in first-touch order when no allocator is installed.
+// Like every always-on layer the hook is compiled in and gated: the
+// disabled fast path is one relaxed load plus a branch (asserted < 5 ns
+// by bench/gb_memtier_overhead).
 //
 // This lives in common (not core/sim) so the ops/op2 runtimes can call
 // the hook without a dependency cycle; core adapts sim::MachineModel
@@ -28,18 +32,14 @@ struct Tier {
   double bw_bytes_per_s = 0;
 };
 
-/// A recorded placement decision, in allocation order. Decisions are
-/// keyed by dat name and the FIRST allocation wins: per-rank replicas of
-/// the same logical dat reuse the decision instead of debiting tier
-/// capacity once per rank, and re-runs with the same config reproduce
-/// the same tier map (the determinism property test_memtier locks in).
+/// One dat's allocation and, once placed, its tier.
 struct Placement {
   std::string dat;          ///< dat name
-  std::string tier;         ///< tier the dat was assigned to
+  std::string tier;         ///< assigned tier ("" before place())
   std::uint64_t bytes = 0;  ///< bytes of the deciding (first) allocation
 };
 
-/// Allocator configuration (install() activates it).
+/// Placement configuration: place()'s input; install() arms it live.
 struct Config {
   /// Placement policy (--place):
   ///   auto        pack the fastest tier to its node capacity in
@@ -56,10 +56,19 @@ struct Config {
   int numa_domains = 1;
 };
 
-/// Validates and installs `cfg`, clears prior decisions, opens the gate.
-/// Throws bwlab::Error for an unknown policy or a pin to an absent tier.
+/// The packer: returns `allocs` (in allocation order) with each tier set.
+/// auto and firsttouch put a dat on the first tier, fastest first, that is
+/// unbounded or still has room for it; when none has, the slowest tier
+/// takes it (DRAM never refuses an allocation). A pin puts every dat on
+/// the named tier. Throws bwlab::Error for an empty tier list,
+/// numa_domains < 1, or a policy that is neither auto, firsttouch nor a
+/// tier of `cfg`.
+std::vector<Placement> place(const Config& cfg, std::vector<Placement> allocs);
+
+/// Validates (as place() does) and installs `cfg`, clears the recorded
+/// allocations, opens the gate.
 void install(Config cfg);
-/// Closes the gate and drops the config and all recorded decisions.
+/// Closes the gate and drops the config and all recorded allocations.
 void uninstall();
 
 namespace detail {
@@ -77,10 +86,13 @@ inline void on_alloc(const std::string& name, std::uint64_t bytes) {
   detail::record(name, bytes);
 }
 
-/// Snapshot of the decisions so far, in allocation order.
+/// The recorded allocations in order, tiers unset. Allocations are keyed
+/// by dat name and the FIRST one wins: per-rank replicas of the same
+/// logical dat do not debit tier capacity once per rank, and re-runs with
+/// the same config reproduce the same tier map.
+std::vector<Placement> allocations();
+/// place(config(), allocations()): the live tier map; empty while off.
 std::vector<Placement> placements();
-/// Tier assigned to `name`; "" when unknown or the allocator is off.
-std::string tier_of(const std::string& name);
 /// The installed config (valid while enabled()).
 Config config();
 

@@ -1,16 +1,16 @@
 #include "core/datmove.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <istream>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/memtier.hpp"
+#include "core/memtier.hpp"
 
 namespace bwlab::core {
 
@@ -27,32 +27,11 @@ void write_json_escaped(std::ostream& os, const std::string& s) {
   }
 }
 
-/// Resolves the tier list the placement runs against: the machine's
-/// tiers, or a single unnamed infinite tier when no machine was given.
-std::vector<sim::MemoryTier> placement_tiers(const sim::MachineModel* m) {
-  if (m != nullptr && !m->tiers.empty()) return m->tiers;
-  return {{"", 0, 0}};
-}
-
-/// Index of the tier a "hbm"/"ddr" pin policy selects.
-std::size_t pinned_tier(const std::vector<sim::MemoryTier>& tiers,
-                        const std::string& policy) {
-  for (std::size_t i = 0; i < tiers.size(); ++i)
-    if (tiers[i].name == policy) return i;
-  // No tier of that name: "hbm" pins to the fastest (first), "ddr" to the
-  // slowest (last) — the closest available meaning.
-  return policy == "hbm" ? 0 : tiers.size() - 1;
-}
-
 }  // namespace
 
 DatMoveReport DataMoveProfiler::analyze(const Instrumentation& instr,
                                         const sim::MachineModel* machine,
                                         const std::string& placement) {
-  BWLAB_REQUIRE(placement == "auto" || placement == "hbm" ||
-                    placement == "ddr" || placement == "firsttouch",
-                "unknown placement policy '"
-                    << placement << "' (auto|hbm|ddr|firsttouch)");
   DatMoveReport r;
   r.placement_policy = placement;
   if (machine != nullptr) r.machine_id = machine->id;
@@ -79,64 +58,47 @@ DatMoveReport DataMoveProfiler::analyze(const Instrumentation& instr,
     r.loops.push_back(std::move(s));
   }
 
-  // Placement: pin policies send everything to one tier; "auto" places
-  // dats by traffic, hottest first, into the fastest tier with remaining
-  // capacity (greedy knapsack — the sizing question "which dats earn the
-  // HBM" answered the simple way). When the memtier allocator recorded a
-  // live decision for a dat (it was placed at construction time), that
-  // decision wins over the what-if policy: the report then attributes
-  // traffic to where the data actually lives.
-  const std::vector<sim::MemoryTier> tiers = placement_tiers(machine);
-  std::vector<double> remaining(tiers.size());
-  for (std::size_t t = 0; t < tiers.size(); ++t)
-    remaining[t] = tiers[t].capacity_bytes;
-  std::vector<const DatFootprint*> fps = instr.dat_footprints();
-  std::vector<std::size_t> order(fps.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return fps[a]->bytes_moved > fps[b]->bytes_moved;
-                   });
-  auto tier_index = [&](const std::string& name) {
-    for (std::size_t t = 0; t < tiers.size(); ++t)
-      if (tiers[t].name == name) return t;
-    return tiers.size();
-  };
-  std::vector<std::size_t> chosen(fps.size(), 0);
-  for (const std::size_t i : order) {
-    std::size_t t = tiers.size();
-    if (memtier::enabled()) t = tier_index(memtier::tier_of(fps[i]->dat));
-    if (t == tiers.size()) {
-      if (placement == "hbm" || placement == "ddr") {
-        t = pinned_tier(tiers, placement);
-      } else {
-        // "auto"/"firsttouch" what-if without an allocator decision.
-        // Capacity 0 means "unbounded" (tierless pseudo-tier).
-        t = 0;
-        while (t + 1 < tiers.size() && tiers[t].capacity_bytes > 0 &&
-               remaining[t] < static_cast<double>(fps[i]->alloc_bytes))
-          ++t;
-      }
-    }
-    chosen[i] = t;
-    remaining[t] -= static_cast<double>(fps[i]->alloc_bytes);
+  // Placement: memtier's packer maps each dat to a tier. With the live
+  // allocator installed, its allocations are replayed under its own
+  // config, which reproduces the live decisions exactly (a counted dat it
+  // never saw is appended). Otherwise the what-if replays the counted
+  // dats in first-touch order under `placement`. Without machine tiers
+  // everything lands on one unnamed, unbounded pseudo-tier.
+  const std::vector<const DatFootprint*> fps = instr.dat_footprints();
+  memtier::Config cfg;
+  std::vector<memtier::Placement> allocs;
+  if (memtier::enabled()) {
+    cfg = memtier::config();
+    allocs = memtier::allocations();
+    r.placement_policy = cfg.policy;
+  } else if (machine != nullptr && !machine->tiers.empty()) {
+    cfg = memtier_config(*machine, placement);
+  } else {
+    cfg.tiers = {{"", 0, 0}};
   }
-  r.tiers.resize(tiers.size());
-  for (std::size_t t = 0; t < tiers.size(); ++t) {
-    r.tiers[t].name = tiers[t].name;
-    r.tiers[t].capacity_bytes = tiers[t].capacity_bytes;
-    r.tiers[t].bw_bytes_per_s = tiers[t].bw_bytes_per_s;
-  }
-  for (std::size_t i = 0; i < fps.size(); ++i) {
+  std::set<std::string> known;
+  for (const memtier::Placement& a : allocs) known.insert(a.dat);
+  for (const DatFootprint* f : fps)
+    if (known.insert(f->dat).second)
+      allocs.push_back({f->dat, "", f->alloc_bytes});
+  std::map<std::string, std::string> tier_of;
+  for (const memtier::Placement& p : memtier::place(cfg, std::move(allocs)))
+    tier_of[p.dat] = p.tier;
+
+  for (const memtier::Tier& t : cfg.tiers)
+    r.tiers.push_back({t.name, t.capacity_bytes, t.bw_bytes_per_s, 0, 0, 0});
+  for (const DatFootprint* f : fps) {
     DatMovePlacement p;
-    p.dat = fps[i]->dat;
-    p.alloc_bytes = fps[i]->alloc_bytes;
-    p.bytes_moved = fps[i]->bytes_moved;
-    p.tier = tiers[chosen[i]].name;
+    p.dat = f->dat;
+    p.alloc_bytes = f->alloc_bytes;
+    p.bytes_moved = f->bytes_moved;
+    p.tier = tier_of[f->dat];
     r.working_set_bytes += p.alloc_bytes;
-    TierTraffic& tt = r.tiers[chosen[i]];
-    tt.resident_bytes += p.alloc_bytes;
-    tt.traffic_bytes += p.bytes_moved;
+    for (TierTraffic& tt : r.tiers)
+      if (tt.name == p.tier) {
+        tt.resident_bytes += p.alloc_bytes;
+        tt.traffic_bytes += p.bytes_moved;
+      }
     r.dats.push_back(std::move(p));
   }
   for (TierTraffic& tt : r.tiers)

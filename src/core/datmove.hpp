@@ -59,7 +59,7 @@ struct TierTraffic {
 
 /// The "datmove" run-report section (see write_json for the layout).
 struct DatMoveReport {
-  std::string placement_policy;  ///< "auto" | "hbm" | "ddr"
+  std::string placement_policy;  ///< memtier policy: auto|firsttouch|tier
   std::string machine_id;        ///< empty when no machine was given
   count_t total_bytes = 0;       ///< all counted loop bytes
   count_t working_set_bytes = 0;  ///< sum of dat allocation footprints
@@ -84,11 +84,11 @@ class DataMoveProfiler {
   static bool enabled() { return datmove::enabled(); }
 
   /// Builds the report from a finished run's instrumentation. `machine`
-  /// supplies tier definitions (pass nullptr for tierless reports);
-  /// `placement` is "auto" (greedy by traffic, fastest tier first, until
-  /// its capacity is exhausted), "hbm" or "ddr" (pin everything to the
-  /// named tier, falling back to the fastest/slowest tier respectively
-  /// when the machine has no tier of that name).
+  /// supplies tier definitions (pass nullptr for tierless reports). The
+  /// dat -> tier map is memtier::place's: the live allocator's decisions
+  /// while one is installed, else the counted dats replayed in
+  /// first-touch order under `placement` (auto|firsttouch or a tier
+  /// name; a pin to a tier the machine lacks throws bwlab::Error).
   static DatMoveReport analyze(const Instrumentation& instr,
                                const sim::MachineModel* machine = nullptr,
                                const std::string& placement = "auto");

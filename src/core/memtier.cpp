@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "common/error.hpp"
-#include "common/memtier.hpp"
 #include "sim/bandwidth.hpp"
 
 namespace bwlab::core {
@@ -34,51 +33,8 @@ MemTierSection build_memtier_section(const Instrumentation& instr,
   s.mode = to_string(m.memory_mode);
   s.snc = m.snc;
   s.place = place;
-
-  // The dat -> tier map: live allocator decisions first, then the
-  // what-if placement the DataMoveProfiler computed, then "fastest tier"
-  // for anything still unmapped.
-  std::map<std::string, std::string> dat_tier;
-  if (dm != nullptr)
-    for (const DatMovePlacement& p : dm->dats) dat_tier[p.dat] = p.tier;
-  if (memtier::enabled())
-    for (const memtier::Placement& p : memtier::placements())
-      dat_tier[p.dat] = p.tier;
-
-  s.tiers.reserve(m.tiers.size());
-  for (const sim::MemoryTier& t : m.tiers)
-    s.tiers.push_back({t.name, t.capacity_bytes, t.bw_bytes_per_s, 0, 0});
-  if (s.tiers.empty()) s.tiers.push_back({"", 0, 0, 0, 0});
-  auto tier_at = [&](const std::string& name) -> MemTierTier& {
-    for (MemTierTier& t : s.tiers)
-      if (t.name == name) return t;
-    return s.tiers.front();
-  };
-
-  for (const DatFootprint* f : instr.dat_footprints()) {
-    const auto it = dat_tier.find(f->dat);
-    const std::string tier =
-        it == dat_tier.end() ? s.tiers.front().name : it->second;
-    dat_tier[f->dat] = tier;
-    MemTierTier& t = tier_at(tier);
-    t.resident_bytes += f->alloc_bytes;
-    t.traffic_bytes += f->bytes_moved;
-    s.placements.push_back({f->dat, tier, f->alloc_bytes});
+  for (const DatFootprint* f : instr.dat_footprints())
     s.working_set_bytes += f->alloc_bytes;
-  }
-  // Without bwmem counting there are no footprints; the allocator's own
-  // records still describe where every dat went (traffic stays 0).
-  if (memtier::enabled())
-    for (const memtier::Placement& p : memtier::placements()) {
-      bool seen = false;
-      for (const MemTierPlacement& q : s.placements)
-        seen = seen || q.dat == p.dat;
-      if (seen) continue;
-      MemTierTier& t = tier_at(p.tier);
-      t.resident_bytes += p.bytes;
-      s.placements.push_back({p.dat, p.tier, p.bytes});
-      s.working_set_bytes += p.bytes;
-    }
 
   s.hbm_capacity_bytes = m.sockets * m.hbm_capacity_per_socket;
   if (s.working_set_bytes > 0) {
@@ -90,35 +46,25 @@ MemTierSection build_memtier_section(const Instrumentation& instr,
   if (s.hbm_capacity_bytes > 0)
     s.est_spill_bytes = instr.reuse().est_spill_bytes(s.hbm_capacity_bytes);
 
-  s.loop_roofs = tier_roof_join(instr, m, dat_tier);
+  if (dm != nullptr) {
+    std::map<std::string, std::string> dat_tier;
+    for (const DatMovePlacement& p : dm->dats) dat_tier[p.dat] = p.tier;
+    s.loop_roofs = tier_roof_join(instr, m, dat_tier);
+  }
   return s;
 }
 
-void install_memtier_allocator(const sim::MachineModel& m,
+memtier::Config memtier_config(const sim::MachineModel& m,
                                const std::string& place) {
   memtier::Config cfg;
   cfg.policy = place;
   cfg.numa_domains = m.total_numa();
   for (const sim::MemoryTier& t : m.tiers)
     cfg.tiers.push_back({t.name, t.capacity_bytes, t.bw_bytes_per_s});
-  memtier::install(std::move(cfg));
+  return cfg;
 }
 
 // --- Presentation -----------------------------------------------------------
-
-Table memtier_table(const MemTierSection& s) {
-  Table t("Memory-tier placement — " + s.machine_id + ", mode " + s.mode +
-          (s.snc ? ", SNC" : "") + ", place " + s.place);
-  t.set_columns({{"dat", 0}, {"alloc MB", 3}, {"tier", 0}});
-  for (const MemTierPlacement& p : s.placements)
-    t.add_row({p.dat, static_cast<double>(p.alloc_bytes) / 1e6, p.tier});
-  t.add_separator();
-  for (const MemTierTier& tt : s.tiers)
-    t.add_row({std::string("tier ") + (tt.name.empty() ? "-" : tt.name),
-               static_cast<double>(tt.resident_bytes) / 1e6,
-               std::to_string(tt.traffic_bytes / 1000000) + " MB moved"});
-  return t;
-}
 
 Table memtier_roof_table(const MemTierSection& s) {
   Table t("Per-tier loop roofs (binding tier bounds the loop)");
@@ -150,29 +96,8 @@ void write_json(std::ostream& os, const MemTierSection& s, int indent) {
      << ",\n" << in << "\"hbm_hit_fraction\": " << s.hbm_hit_fraction << ",\n"
      << in << "\"est_spill_bytes\": " << s.est_spill_bytes << ",\n"
      << in << "\"tiered_bw_bytes_per_s\": " << s.tiered_bw_bytes_per_s
-     << ",\n" << in << "\"tiers\": [";
+     << ",\n" << in << "\"loop_roofs\": [";
   bool first = true;
-  for (const MemTierTier& t : s.tiers) {
-    os << (first ? "\n" : ",\n") << in2 << "{\"name\": \"";
-    first = false;
-    write_json_escaped(os, t.name);
-    os << "\", \"capacity_bytes\": " << t.capacity_bytes
-       << ", \"bw_bytes_per_s\": " << t.bw_bytes_per_s
-       << ", \"resident_bytes\": " << t.resident_bytes
-       << ", \"traffic_bytes\": " << t.traffic_bytes << "}";
-  }
-  os << (first ? "]" : "\n" + in + "]") << ",\n" << in << "\"placements\": [";
-  first = true;
-  for (const MemTierPlacement& p : s.placements) {
-    os << (first ? "\n" : ",\n") << in2 << "{\"dat\": \"";
-    first = false;
-    write_json_escaped(os, p.dat);
-    os << "\", \"tier\": \"";
-    write_json_escaped(os, p.tier);
-    os << "\", \"alloc_bytes\": " << p.alloc_bytes << "}";
-  }
-  os << (first ? "]" : "\n" + in + "]") << ",\n" << in << "\"loop_roofs\": [";
-  first = true;
   for (const LoopTierRoofs& l : s.loop_roofs) {
     os << (first ? "\n" : ",\n") << in2 << "{\"loop\": \"";
     first = false;
@@ -214,25 +139,6 @@ MemTierSection memtier_from_json(const json::Value& v) {
   s.hbm_hit_fraction = num_field(v, "hbm_hit_fraction");
   s.est_spill_bytes = count_field(v, "est_spill_bytes");
   s.tiered_bw_bytes_per_s = num_field(v, "tiered_bw_bytes_per_s");
-  s.tiers.clear();
-  if (const json::Value* a = v.find("tiers"))
-    for (const json::Value& e : a->arr) {
-      MemTierTier t;
-      t.name = str_field(e, "name");
-      t.capacity_bytes = num_field(e, "capacity_bytes");
-      t.bw_bytes_per_s = num_field(e, "bw_bytes_per_s");
-      t.resident_bytes = count_field(e, "resident_bytes");
-      t.traffic_bytes = count_field(e, "traffic_bytes");
-      s.tiers.push_back(std::move(t));
-    }
-  if (const json::Value* a = v.find("placements"))
-    for (const json::Value& e : a->arr) {
-      MemTierPlacement p;
-      p.dat = str_field(e, "dat");
-      p.tier = str_field(e, "tier");
-      p.alloc_bytes = count_field(e, "alloc_bytes");
-      s.placements.push_back(std::move(p));
-    }
   if (const json::Value* a = v.find("loop_roofs"))
     for (const json::Value& e : a->arr) {
       LoopTierRoofs l;

@@ -1,7 +1,9 @@
-// The "memtier" run-report section: where the run's data lived (the
-// memtier allocator's tier map), how the machine's memory mode priced it
-// (hit fraction, tiered bandwidth, spill estimate), and the bwmem x
-// roofline join split per tier (core/attribution.cpp tier_roof_join).
+// The "memtier" run-report section: how the machine's memory mode priced
+// the run's counted working set (HBM capacity, hit fraction, tiered
+// bandwidth, spill estimate) and the bwmem x roofline join split per tier
+// (core/attribution.cpp tier_roof_join). Where each dat lived is the
+// "datmove" section's dats[].tier and tiers[], the one per-tier
+// attribution; the join reads its dat -> tier map from there.
 // Schema-versioned and stored-value-only like every other section, so
 // write -> parse -> write is bitwise.
 #pragma once
@@ -12,6 +14,7 @@
 
 #include "common/instrument.hpp"
 #include "common/json.hpp"
+#include "common/memtier.hpp"
 #include "common/table.hpp"
 #include "core/attribution.hpp"
 #include "core/datmove.hpp"
@@ -19,23 +22,7 @@
 
 namespace bwlab::core {
 
-inline constexpr int kMemTierSchemaVersion = 1;
-
-/// One tier's capacity/bandwidth spec plus what the run put on it.
-struct MemTierTier {
-  std::string name;
-  double capacity_bytes = 0;
-  double bw_bytes_per_s = 0;
-  count_t resident_bytes = 0;  ///< sum of alloc bytes of dats placed here
-  count_t traffic_bytes = 0;   ///< counted bytes moved by those dats
-};
-
-/// One dat's placement decision.
-struct MemTierPlacement {
-  std::string dat;
-  std::string tier;
-  count_t alloc_bytes = 0;
-};
+inline constexpr int kMemTierSchemaVersion = 2;
 
 /// The "memtier" section (RunReport::memtier, gated by has_memtier).
 struct MemTierSection {
@@ -45,7 +32,7 @@ struct MemTierSection {
   std::string mode;        ///< "hbmonly" | "flat" | "cache"
   bool snc = false;        ///< sub-NUMA clustering partitions the tiers
   std::string place;       ///< placement policy (--place)
-  count_t working_set_bytes = 0;  ///< sum of dat allocation footprints
+  count_t working_set_bytes = 0;  ///< sum of counted dat footprints
   double hbm_capacity_bytes = 0;  ///< node HBM capacity (0 when absent)
   /// BandwidthModel::hbm_service_fraction at the run's working set: the
   /// flat-mode packing fraction or the cache-mode hit curve.
@@ -55,27 +42,25 @@ struct MemTierSection {
   count_t est_spill_bytes = 0;
   /// Mode-aware DRAM bandwidth at the run's working set (node scope).
   double tiered_bw_bytes_per_s = 0;
-  std::vector<MemTierTier> tiers;             ///< fastest first
-  std::vector<MemTierPlacement> placements;   ///< allocation order
-  std::vector<LoopTierRoofs> loop_roofs;      ///< first-execution order
+  std::vector<LoopTierRoofs> loop_roofs;  ///< first-execution order
 };
 
-/// Builds the section from the run's instrumentation and machine model.
-/// Placement decisions come from the live memtier allocator when it is
-/// enabled, else from `dm`'s what-if placement when given, else every dat
-/// is attributed to the fastest tier.
+/// Builds the section from the run's counted bytes (bwmem) and machine
+/// model; without counting the working set, pricing and spill stay 0.
+/// The per-tier loop roofs join `dm`'s dat -> tier map and are empty
+/// without it.
 MemTierSection build_memtier_section(const Instrumentation& instr,
                                      const sim::MachineModel& m,
                                      const std::string& place,
                                      const DatMoveReport* dm = nullptr);
 
 /// Adapts `m`'s tiers into a memtier::Config (node capacities, SNC-aware
-/// numa_domains) and installs the allocator with policy `place`.
-void install_memtier_allocator(const sim::MachineModel& m,
+/// numa_domains) with policy `place`: the live allocator's and datmove's
+/// what-if config alike.
+memtier::Config memtier_config(const sim::MachineModel& m,
                                const std::string& place);
 
-/// Console tables: tier placement summary and the per-tier loop roofs.
-Table memtier_table(const MemTierSection& s);
+/// Console table: the per-tier loop roofs.
 Table memtier_roof_table(const MemTierSection& s);
 
 /// JSON writer (the "memtier" object of the run report).

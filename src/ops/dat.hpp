@@ -151,6 +151,11 @@ class Dat {
                                  outer_row(rows.hi[ods]), init);
                      });
     memtier::on_alloc(name_, data_.size() * sizeof(T));
+    // The fill above is the dat's first touch. Registering its footprint
+    // here lists dat_footprints() in allocation order, the order memtier
+    // packs in, so datmove's what-if places dats as the allocator does.
+    if (datmove::enabled())
+      block.ctx().instr().datmove_dat(name_, data_.size() * sizeof(T), 0);
   }
 
   Block& block() const { return *block_; }

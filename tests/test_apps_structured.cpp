@@ -193,6 +193,10 @@ TEST(TiledHaloDepth, ImpossibleDecompositionRejectedBeforeRanksLaunch) {
   o.n = 20;  // 10 per dimension, below StoreAll's depth of 11
   expect_one_error("opensbli",
                    [&] { opensbli::run(o, opensbli::Variant::StoreAll); });
+  o.tiled = false;
+  o.n = 6;  // eager halos: acoustic's depth 4 and miniweather's 2 + stagger
+  expect_one_error("acoustic", [&] { acoustic::run(o); });
+  expect_one_error("miniweather", [&] { miniweather::run(o); });
 }
 
 // --- Acoustic ----------------------------------------------------------------

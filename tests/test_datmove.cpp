@@ -206,11 +206,10 @@ TEST(DatMove, PlacementPoliciesPinAndPack) {
   EXPECT_EQ(hbm.tiers[0].traffic_bytes, hbm.total_bytes);
   EXPECT_GT(hbm.tiers[0].seconds_at_bw, 0.0);
 
-  // max9480 has no "ddr" tier: the pin falls back to the slowest tier.
-  const core::DatMoveReport ddr =
-      core::DataMoveProfiler::analyze(ctx.instr(), &m, "ddr");
-  for (const core::DatMovePlacement& p : ddr.dats)
-    EXPECT_EQ(p.tier, "hbm");
+  // max9480 has no "ddr" tier: the pin is rejected, as memtier::install
+  // rejects it.
+  EXPECT_THROW(core::DataMoveProfiler::analyze(ctx.instr(), &m, "ddr"),
+               Error);
 
   // Tierless analysis still produces totals and an occupancy curve.
   const core::DatMoveReport bare =

@@ -144,7 +144,7 @@ TEST(FuzzMemTier, CountedBytesBitwiseIdenticalAcrossModesSncAndPlacement) {
     bool first = true;
     for (const auto& [id, place] : mode_place_axes()) {
       const LayerGuard guard;
-      core::install_memtier_allocator(sim::machine_by_id(id), place);
+      memtier::install(core::memtier_config(sim::machine_by_id(id), place));
       const auto [m, placements] = run_trial(spec);
       ASSERT_FALSE(m.empty());
       // Every dat got a placement decision, on a tier the machine has.
@@ -340,13 +340,50 @@ TEST(MemTier, FirstAllocationWinsAndPinValidation) {
   ASSERT_EQ(memtier::placements().size(), 1u);
   EXPECT_EQ(memtier::placements()[0].bytes, 1024u);
   memtier::uninstall();
-  EXPECT_EQ(memtier::tier_of("a"), "");
-  // A pin to a tier the machine lacks is rejected at install time.
+  EXPECT_TRUE(memtier::placements().empty());
+  // A pin to a tier the machine lacks is rejected at install time, and
+  // by the packer itself.
   memtier::Config bad;
   bad.policy = "hbm";
   bad.tiers.push_back({"ddr", 0, 1.0});
   EXPECT_THROW(memtier::install(bad), Error);
   EXPECT_FALSE(memtier::enabled());
+  EXPECT_THROW(memtier::place(bad, {{"a", "", 8}}), Error);
+}
+
+// --- One placement engine ---------------------------------------------------
+
+TEST(MemTier, WhatIfTierMapEqualsLiveAllocatorsWithHbmBelowWorkingSet) {
+  apps::Options opt;
+  opt.n = 64;
+  opt.iterations = 1;
+  for (const auto& [id, place] : mode_place_axes()) {
+    const LayerGuard guard;
+    // HBM shrunk to about half of clover2d's n=64 working set (0.56 MB),
+    // so the packing policies must overflow to the next tier.
+    sim::MachineModel m = sim::machine_by_id(id);
+    m.hbm_capacity_per_socket = 150e3;
+    for (sim::MemoryTier& t : m.tiers)
+      if (t.name == "hbm") t.capacity_bytes = m.sockets * 150e3;
+    memtier::install(core::memtier_config(m, place));
+    const apps::Result res = apps::clover2d::run(opt);
+    std::map<std::string, std::string> live;
+    for (const memtier::Placement& p : memtier::placements())
+      live[p.dat] = p.tier;
+    memtier::uninstall();
+    const core::DatMoveReport dm =
+        core::DataMoveProfiler::analyze(res.instr, &m, place);
+    ASSERT_FALSE(dm.dats.empty());
+    EXPECT_GT(dm.working_set_bytes, 1.5 * m.sockets * 150e3);
+    for (const core::DatMovePlacement& p : dm.dats)
+      EXPECT_EQ(p.tier, live[p.dat]) << id << " place " << place << " dat "
+                                     << p.dat;
+    // The shrunk HBM really splits the flat-mode auto packing.
+    if (m.tiers.size() == 2 && place == "auto") {
+      for (const core::TierTraffic& t : dm.tiers)
+        EXPECT_GT(t.resident_bytes, 0u) << id << " tier " << t.name;
+    }
+  }
 }
 
 // --- The "memtier" report section -------------------------------------------
@@ -354,25 +391,27 @@ TEST(MemTier, FirstAllocationWinsAndPinValidation) {
 TEST(MemTier, SectionJsonRoundTripIsBitwise) {
   const LayerGuard guard;
   const sim::MachineModel& m = sim::machine_by_id("max9480-flat");
-  core::install_memtier_allocator(m, "auto");
+  memtier::install(core::memtier_config(m, "auto"));
   apps::Options opt;
   opt.n = 24;
   opt.iterations = 2;
   const apps::Result res = apps::clover2d::run(opt);
+  const core::DatMoveReport dm =
+      core::DataMoveProfiler::analyze(res.instr, &m, "auto");
   const core::MemTierSection mt =
-      core::build_memtier_section(res.instr, m, "auto");
+      core::build_memtier_section(res.instr, m, "auto", &dm);
   EXPECT_TRUE(mt.present);
   EXPECT_EQ(mt.machine_id, "max9480-flat");
   EXPECT_EQ(mt.mode, "flat");
   EXPECT_TRUE(mt.snc);
   EXPECT_GT(mt.working_set_bytes, 0u);
-  EXPECT_GT(mt.tiers.size(), 1u);
-  EXPECT_FALSE(mt.placements.empty());
+  EXPECT_EQ(mt.working_set_bytes, dm.working_set_bytes);
   EXPECT_FALSE(mt.loop_roofs.empty());
   // clover at n=24 fits HBM with room: everything lands on the fast tier
   // and the modeled hit fraction is 1.
-  EXPECT_EQ(mt.tiers[0].name, "hbm");
-  EXPECT_EQ(mt.tiers[0].resident_bytes, mt.working_set_bytes);
+  ASSERT_EQ(dm.tiers.size(), 2u);
+  EXPECT_EQ(dm.tiers[0].name, "hbm");
+  EXPECT_EQ(dm.tiers[0].resident_bytes, mt.working_set_bytes);
   EXPECT_DOUBLE_EQ(mt.hbm_hit_fraction, 1.0);
 
   const core::RunReport report =
@@ -386,7 +425,7 @@ TEST(MemTier, SectionJsonRoundTripIsBitwise) {
   const core::RunReport parsed = core::parse_run_report(in);
   ASSERT_TRUE(parsed.has_memtier);
   EXPECT_EQ(parsed.memtier.mode, "flat");
-  EXPECT_EQ(parsed.memtier.placements.size(), mt.placements.size());
+  EXPECT_EQ(parsed.memtier.loop_roofs.size(), mt.loop_roofs.size());
   std::ostringstream second;
   core::write_run_report_json(second, parsed);
   EXPECT_EQ(first.str(), second.str())
@@ -398,7 +437,7 @@ TEST(MemTier, LiveAllocatorDecisionsFeedDatmoveTierAttribution) {
   const sim::MachineModel& m = sim::machine_by_id("max9480-flat");
   // Pin every dat to DDR at construction time; the what-if policy says
   // "auto" but the live decision must win in the datmove report.
-  core::install_memtier_allocator(m, "ddr");
+  memtier::install(core::memtier_config(m, "ddr"));
   apps::Options opt;
   opt.n = 16;
   opt.iterations = 1;
@@ -408,11 +447,9 @@ TEST(MemTier, LiveAllocatorDecisionsFeedDatmoveTierAttribution) {
   ASSERT_FALSE(dm.dats.empty());
   for (const core::DatMovePlacement& p : dm.dats)
     EXPECT_EQ(p.tier, "ddr") << p.dat;
-  // And the memtier section agrees end to end.
+  // And the memtier section's per-tier roofs agree end to end.
   const core::MemTierSection mt =
       core::build_memtier_section(res.instr, m, "ddr", &dm);
-  for (const core::MemTierPlacement& p : mt.placements)
-    EXPECT_EQ(p.tier, "ddr") << p.dat;
   for (const core::LoopTierRoofs& l : mt.loop_roofs) {
     EXPECT_EQ(l.binding_tier, "ddr") << l.loop;
     ASSERT_EQ(l.tiers.size(), 1u) << l.loop;
