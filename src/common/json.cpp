@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <istream>
+#include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -164,6 +165,24 @@ const Value& empty_value(Value::Kind kind) {
 }
 
 }  // namespace
+
+void write_string(std::ostream& os, std::string_view s) {
+  // Runs of plain characters go out in one write: trace and report
+  // writers call this for every name they emit.
+  std::size_t from = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const bool escape = c == '"' || c == '\\';
+    if (!escape && static_cast<unsigned char>(c) >= 0x20) continue;
+    os.write(s.data() + from, static_cast<std::streamsize>(i - from));
+    if (escape)
+      os << '\\' << c;
+    else
+      os << '_';
+    from = i + 1;
+  }
+  os.write(s.data() + from, static_cast<std::streamsize>(s.size() - from));
+}
 
 Value parse(const std::string& text) { return Parser(text).run(); }
 

@@ -11,6 +11,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,12 @@ struct Value {
   }
   count_t as_count() const { return static_cast<count_t>(num); }
 };
+
+/// Writes `s` as the body of a JSON string (the caller writes the
+/// quotes): `"` and `\` are escaped, control characters become '_'. The
+/// one escaper every writer in the repo uses, so parse() reads back
+/// exactly what was written.
+void write_string(std::ostream& os, std::string_view s);
 
 /// Parses one JSON document (trailing content is an error).
 Value parse(const std::string& text);

@@ -52,9 +52,6 @@ std::deque<RawSample> g_ring;
 std::uint64_t g_dropped = 0;
 std::map<int, Provider> g_providers;
 int g_next_provider = 0;
-std::map<int, int> g_flat;                          // rank -> flat windows
-std::map<int, std::vector<double>> g_last_progress; // rank -> counters
-std::set<int> g_stalled;
 std::thread g_sampler;
 
 double elapsed_s() {
@@ -69,9 +66,7 @@ void collect_builtin(std::map<std::string, double>& kv) {
   const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
   for (const auto& [name, v] : snap.counters)
     kv["counter." + name] = static_cast<double>(v);
-  for (const auto& [name, v] : snap.gauges)
-    if (name.rfind("live.", 0) != 0)  // don't re-sample our own gauges
-      kv["gauge." + name] = v;
+  for (const auto& [name, v] : snap.gauges) kv["gauge." + name] = v;
   kv["trace.dropped_events"] =
       static_cast<double>(trace::dropped_events_now());
   if (datmove::enabled() || datmove::cum_bytes() > 0)
@@ -92,56 +87,15 @@ void collect_builtin(std::map<std::string, double>& kv) {
         g_steps[static_cast<std::size_t>(r)].load(std::memory_order_relaxed));
 }
 
-/// Flat-window stall tracking: a rank whose step AND message AND byte
-/// counters are all unchanged across `stall_windows` consecutive samples
-/// is flagged. Designed to fire well before the bwfault watchdog (whose
-/// grace period spans many sampling windows) — tests assert the ordering.
-void update_stalls(const std::map<std::string, double>& kv) {
-  std::set<int> seen;
-  for (const auto& [k, v] : kv) {
-    (void)v;
-    if (k.rfind("rank.", 0) != 0) continue;
-    const std::size_t dot = k.find('.', 5);
-    if (dot == std::string::npos) continue;
-    try {
-      seen.insert(std::stoi(k.substr(5, dot - 5)));
-    } catch (...) {
-    }
-  }
-  for (const int r : seen) {
-    std::vector<double> progress;
-    for (const char* what : {"steps", "msgs_sent", "bytes_sent"}) {
-      const auto it = kv.find(rank_key(r, what));
-      progress.push_back(it == kv.end() ? 0.0 : it->second);
-    }
-    const auto last = g_last_progress.find(r);
-    if (last != g_last_progress.end() && last->second == progress)
-      ++g_flat[r];
-    else
-      g_flat[r] = 0;
-    g_last_progress[r] = std::move(progress);
-    if (g_flat[r] >= g_cfg.stall_windows)
-      g_stalled.insert(r);
-    else
-      g_stalled.erase(r);
-  }
-}
-
-void render_status(const RawSample& s) {
+void render_status(const RawSample& s, const std::vector<StallFlag>& flags) {
   const auto find = [&](const char* k) {
     const auto it = s.kv.find(k);
     return it == s.kv.end() ? 0.0 : it->second;
   };
   std::ostringstream stalls;
-  if (g_stalled.empty()) {
-    stalls << "-";
-  } else {
-    bool first = true;
-    for (const int r : g_stalled) {
-      stalls << (first ? "" : ",") << r;
-      first = false;
-    }
-  }
+  if (flags.empty()) stalls << "-";
+  for (std::size_t i = 0; i < flags.size(); ++i)
+    stalls << (i == 0 ? "" : ",") << flags[i].rank;
   std::fprintf(stderr,
                "\r[bwlive t=%6.1fs] bw %7.2f GB/s (%5.1f%% of roof) "
                "msgs %8.0f  stalling: %s  drops trace=%.0f samples=%.0f   ",
@@ -150,6 +104,39 @@ void render_status(const RawSample& s) {
                stalls.str().c_str(), find("trace.dropped_events"),
                find("live.dropped_samples"));
   std::fflush(stderr);
+}
+
+/// The ring from sample `first` on, in canonical export form. Dense rows
+/// with carry-forward: a key a provider stopped contributing (its
+/// run_ranks World ended) keeps its last value, so cumulative counters
+/// stay monotone; before first sight it reads 0. Caller holds g_mu.
+TimeSeries series_locked(std::size_t first) {
+  TimeSeries ts;
+  ts.interval_ms = g_cfg.interval_ms;
+  ts.roof_bytes_per_s = g_cfg.roof_bytes_per_s;
+  ts.dropped_samples = g_dropped;
+  const auto begin = g_ring.begin() + static_cast<std::ptrdiff_t>(first);
+  std::set<std::string> keyset;
+  for (auto s = begin; s != g_ring.end(); ++s)
+    for (const auto& [k, v] : s->kv) {
+      (void)v;
+      keyset.insert(k);
+    }
+  ts.keys.assign(keyset.begin(), keyset.end());
+  std::map<std::string, double> carried;
+  for (auto s = begin; s != g_ring.end(); ++s) {
+    ts.times.push_back(s->t);
+    std::vector<double> row;
+    row.reserve(ts.keys.size());
+    for (const std::string& k : ts.keys) {
+      const auto it = s->kv.find(k);
+      if (it != s->kv.end()) carried[k] = it->second;
+      const auto c = carried.find(k);
+      row.push_back(c == carried.end() ? 0.0 : c->second);
+    }
+    ts.values.push_back(std::move(row));
+  }
+  return ts;
 }
 
 /// Takes one sample. Caller holds g_mu.
@@ -178,31 +165,21 @@ void take_sample_locked() {
   const double roof = g_cfg.roof_bytes_per_s;
   s.kv["live.bw_bytes_per_s"] = bw;
   s.kv["live.roof_fraction"] = roof > 0 ? bw / roof : 0.0;
-  update_stalls(s.kv);
-  s.kv["live.stalled_ranks"] = static_cast<double>(g_stalled.size());
   s.kv["live.dropped_samples"] = static_cast<double>(g_dropped);
-  // The roof-fraction / drop gauges in the registry: the mid-run view an
-  // external scraper (or the status line) reads, updated every sample.
-  static Gauge& roof_g = MetricsRegistry::global().gauge("live.roof_fraction");
-  static Gauge& bw_g =
-      MetricsRegistry::global().gauge("live.bw_bytes_per_s");
-  static Gauge& tdrop_g =
-      MetricsRegistry::global().gauge("live.trace_dropped_events");
-  static Gauge& sdrop_g =
-      MetricsRegistry::global().gauge("live.dropped_samples");
-  static Gauge& stall_g =
-      MetricsRegistry::global().gauge("live.stalled_ranks");
-  roof_g.set(s.kv["live.roof_fraction"]);
-  bw_g.set(bw);
-  tdrop_g.set(s.kv["trace.dropped_events"]);
-  sdrop_g.set(static_cast<double>(g_dropped));
-  stall_g.set(static_cast<double>(g_stalled.size()));
-  if (g_cfg.status_line) render_status(s);
   if (g_ring.size() >= std::max<std::size_t>(g_cfg.ring_capacity, 2)) {
     g_ring.pop_front();
     ++g_dropped;
   }
   g_ring.push_back(std::move(s));
+  // Stall flags: the offline classifier over the trailing windows.
+  const auto windows =
+      static_cast<std::size_t>(std::max(g_cfg.stall_windows, 0));
+  const std::vector<StallFlag> flags = classify_stalls(
+      series_locked(g_ring.size() - std::min(g_ring.size(), windows + 1)),
+      windows);
+  RawSample& cur = g_ring.back();
+  cur.kv["live.stalled_ranks"] = static_cast<double>(flags.size());
+  if (g_cfg.status_line) render_status(cur, flags);
 }
 
 void sampler_main() {
@@ -263,9 +240,6 @@ void start(const Config& cfg) {
   g_cfg = cfg;
   g_ring.clear();
   g_dropped = 0;
-  g_flat.clear();
-  g_last_progress.clear();
-  g_stalled.clear();
   for (auto& s : g_steps) s.store(0, std::memory_order_relaxed);
   g_max_rank.store(-1, std::memory_order_relaxed);
   g_loop_bytes.store(0, std::memory_order_relaxed);
@@ -308,39 +282,7 @@ void sample_now() {
 
 TimeSeries series() {
   std::lock_guard<std::mutex> lock(g_mu);
-  TimeSeries ts;
-  ts.interval_ms = g_cfg.interval_ms;
-  ts.roof_bytes_per_s = g_cfg.roof_bytes_per_s;
-  ts.dropped_samples = g_dropped;
-  std::set<std::string> keyset;
-  for (const RawSample& s : g_ring)
-    for (const auto& [k, v] : s.kv) {
-      (void)v;
-      keyset.insert(k);
-    }
-  ts.keys.assign(keyset.begin(), keyset.end());
-  // Dense rows with carry-forward: a key a provider stopped contributing
-  // (its run_ranks World ended) keeps its last value, so cumulative
-  // counters stay monotone; before first sight it reads 0.
-  std::map<std::string, double> carried;
-  for (const RawSample& s : g_ring) {
-    ts.times.push_back(s.t);
-    std::vector<double> row;
-    row.reserve(ts.keys.size());
-    for (const std::string& k : ts.keys) {
-      const auto it = s.kv.find(k);
-      if (it != s.kv.end()) carried[k] = it->second;
-      const auto c = carried.find(k);
-      row.push_back(c == carried.end() ? 0.0 : c->second);
-    }
-    ts.values.push_back(std::move(row));
-  }
-  return ts;
-}
-
-std::vector<int> stalled_ranks() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  return {g_stalled.begin(), g_stalled.end()};
+  return series_locked(0);
 }
 
 std::uint64_t rank_steps(int rank) {

@@ -101,9 +101,6 @@ void sample_now();
 /// stay monotone even when a provider unregisters mid-run).
 TimeSeries series();
 
-/// Ranks currently flagged as stalling (flat for >= stall_windows).
-std::vector<int> stalled_ranks();
-
 /// Current per-rank step counter / process-wide loop-byte counter.
 std::uint64_t rank_steps(int rank);
 std::uint64_t loop_bytes();

@@ -68,16 +68,37 @@ std::string rank_key(int rank, const std::string& what) {
 
 namespace {
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+/// True when rank `r` made no observable progress between samples i-1
+/// and i: every progress key the series carries for it is flat. A rank
+/// with no progress keys at all is never flagged (nothing to judge).
+bool window_flat(const TimeSeries& ts, int r, std::size_t i) {
+  bool any_key = false;
+  for (const char* what : {"steps", "msgs_sent", "bytes_sent"}) {
+    const int k = ts.key_index(rank_key(r, what));
+    if (k < 0) continue;
+    any_key = true;
+    if (ts.value(i, k) != ts.value(i - 1, k)) return false;
   }
-  os << '"';
+  return any_key;
 }
 
 }  // namespace
+
+std::vector<StallFlag> classify_stalls(const TimeSeries& ts,
+                                       std::size_t windows) {
+  std::vector<StallFlag> out;
+  if (windows == 0 || ts.size() < windows + 1) return out;
+  for (const int r : ts.ranks()) {
+    std::size_t flat = 0;
+    for (std::size_t i = ts.size() - 1; i > 0; --i) {
+      if (!window_flat(ts, r, i)) break;
+      ++flat;
+    }
+    if (flat >= windows)
+      out.push_back(StallFlag{r, flat, ts.times[ts.size() - 1 - flat]});
+  }
+  return out;
+}
 
 void write_timeseries_json(std::ostream& os, const TimeSeries& ts,
                            int indent) {
@@ -90,9 +111,10 @@ void write_timeseries_json(std::ostream& os, const TimeSeries& ts,
      << pad << "  \"keys\": [";
   bool first = true;
   for (const std::string& k : ts.keys) {
-    os << (first ? "" : ", ");
+    os << (first ? "\"" : ", \"");
     first = false;
-    write_json_string(os, k);
+    json::write_string(os, k);
+    os << '"';
   }
   os << "],\n" << pad << "  \"samples\": [";
   first = true;
@@ -142,11 +164,11 @@ void write_timeseries_file(const std::string& path, const TimeSeries& ts,
   BWLAB_REQUIRE(os.good(), "cannot open timeseries output file '" << path
                                                                   << "'");
   os << "{\n  \"schema_version\": " << kTimeseriesSchemaVersion
-     << ",\n  \"app\": ";
-  write_json_string(os, app);
-  os << ",\n  \"git_sha\": ";
-  write_json_string(os, git_sha);
-  os << ",\n  \"timeseries\": ";
+     << ",\n  \"app\": \"";
+  json::write_string(os, app);
+  os << "\",\n  \"git_sha\": \"";
+  json::write_string(os, git_sha);
+  os << "\",\n  \"timeseries\": ";
   write_timeseries_json(os, ts, 2);
   os << "\n}\n";
   BWLAB_REQUIRE(os.good(), "failed writing timeseries to '" << path << "'");

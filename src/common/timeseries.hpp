@@ -68,6 +68,24 @@ struct TimeSeries {
 /// "rank.3.steps". The sampler and the readers must agree on these.
 std::string rank_key(int rank, const std::string& what);
 
+/// One stalling rank: flat for `windows` consecutive trailing windows,
+/// i.e. no observed progress since `since_s` (run-relative seconds).
+struct StallFlag {
+  int rank = -1;
+  std::size_t windows = 0;
+  double since_s = 0;
+};
+
+/// The one stall rule, run by the sampler on its trailing samples and by
+/// bwtop on a saved series: ranks whose progress counters are flat across
+/// the last `windows` windows of `ts` (needs windows + 1 trailing
+/// samples; fewer samples or no per-rank keys => no flags). Progress =
+/// any of rank.<R>.steps / .msgs_sent / .bytes_sent changing. The window
+/// count is shorter than the bwfault watchdog's grace period, so the flag
+/// precedes a WatchdogError (tests assert the ordering).
+std::vector<StallFlag> classify_stalls(const TimeSeries& ts,
+                                       std::size_t windows);
+
 /// Writes the timeseries JSON object (schema_version, interval_ms,
 /// roof_bytes_per_s, dropped_samples, keys, samples). `indent` is the
 /// object's base indentation (2 inside the run report). The writer prints

@@ -2,22 +2,26 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <istream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace bwlab::trace {
 
 namespace {
 
 constexpr std::size_t kNameCap = 48;  // truncation bound, keeps events POD
-
-enum class Ph : std::uint8_t { Begin, End, Counter, FlowStart, FlowFinish };
 
 struct Event {
   std::uint64_t ts_ns = 0;
@@ -27,7 +31,7 @@ struct Event {
   unsigned long long bytes = 0;
   int peer = -1;
   int tag = -1;
-  Ph ph = Ph::Begin;
+  char ph = 'B';  // Chrome phase letter, as in EventView
   Cat cat = Cat::Kernel;
   bool has_args = false;
   char name[kNameCap] = {};
@@ -107,7 +111,7 @@ void push(Event e, std::string_view a, std::string_view b) {
   tb.events.push_back(e);
 }
 
-void push(Ph ph, Cat cat, std::string_view a, std::string_view b,
+void push(char ph, Cat cat, std::string_view a, std::string_view b,
           double value) {
   Event e;
   e.ph = ph;
@@ -116,64 +120,105 @@ void push(Ph ph, Cat cat, std::string_view a, std::string_view b,
   push(e, a, b);
 }
 
-/// Escapes the few JSON-hostile characters a span name could contain.
-void write_escaped(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
+/// Where one track lands in the written trace: its Chrome pid/tid, the
+/// process name ("<process>rank <rank>"), the thread name with its drop
+/// count, and the flow-id space (id & flow_mask | flow_tag) its flow
+/// events are written in.
+struct TrackOut {
+  int pid = 0;
+  int tid = 0;
+  std::string_view process;
+  int rank = 0;
+  std::string_view label;
+  std::uint64_t dropped = 0;
+  std::uint64_t flow_mask = ~std::uint64_t{0};
+  std::uint64_t flow_tag = 0;
+};
+
+/// In a several-run trace, run i's flow ids carry i in their top byte,
+/// so two runs never share an id and no flow arrow joins them.
+constexpr int kRunFlowShift = 56;
+
+constexpr const char* kTraceHead =
+    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+constexpr const char* kTraceTail = "\n]}\n";
+
+/// One event line. `Ev` is the live buffer's Event or a decoded
+/// EventView: both carry the same fields, so the live path streams from
+/// its buffers without building a view per event.
+template <class Ev>
+void write_event_line(std::ostream& os, const TrackOut& t, const Ev& e,
+                      std::uint64_t ts_ns) {
+  char ts[48];
+  std::snprintf(ts, sizeof ts, "%.3f", static_cast<double>(ts_ns) / 1000.0);
+  // "bp":"e" binds a flow finish to the enclosing slice rather than the
+  // next one, so Perfetto draws the arrow into the recv/wait span.
+  os << ",\n{\"ph\":\"" << e.ph
+     << (e.ph == 'f' ? R"(","bp":"e","pid":)" : R"(","pid":)") << t.pid
+     << R"(,"tid":)" << t.tid << R"(,"ts":)" << ts;
+  if (e.ph == 'B') {
+    os << R"(,"cat":")" << to_string(e.cat) << R"(","name":")";
+    json::write_string(os, e.name);
+    os << '"';
+    if (e.has_args)
+      os << R"(,"args":{"peer":)" << e.peer << R"(,"tag":)" << e.tag
+         << R"(,"seq":)" << e.seq << R"(,"bytes":)" << e.bytes << "}";
+  } else if (e.ph == 'C') {
+    os << R"(,"name":")";
+    json::write_string(os, e.name);
+    os << R"(","args":{"value":)" << e.value << "}";
+  } else if (e.ph == 's' || e.ph == 'f') {
+    char id[32];
+    std::snprintf(id, sizeof id, "%llx",
+                  static_cast<unsigned long long>((e.flow & t.flow_mask) |
+                                                  t.flow_tag));
+    os << R"(,"cat":"comm","name":"msg","id":"0x)" << id << '"';
   }
+  os << '}';
 }
 
-void write_event_line(std::ostream& os, const ThreadBuffer& tb,
-                      const Event& e, std::uint64_t epoch, bool& first) {
+/// One track: its two metadata lines, then its events (timestamps
+/// relative to `epoch`), with unmatched ends dropped and unmatched
+/// begins (buffer overflow, still-open spans) closed at the track's last
+/// timestamp, so the emitted B/E pairs always balance.
+template <class Ev>
+void write_track(std::ostream& os, const TrackOut& t,
+                 const std::vector<Ev>& events, std::uint64_t epoch,
+                 bool& first) {
   if (!first) os << ",\n";
   first = false;
-  const double ts_us =
-      static_cast<double>(e.ts_ns - std::min(epoch, e.ts_ns)) / 1000.0;
-  char ts[48];
-  std::snprintf(ts, sizeof ts, "%.3f", ts_us);
-  switch (e.ph) {
-    case Ph::Begin:
-      os << R"({"ph":"B","pid":)" << tb.rank << R"(,"tid":)" << tb.tid
-         << R"(,"ts":)" << ts << R"(,"cat":")" << to_string(e.cat)
-         << R"(","name":")";
-      write_escaped(os, e.name);
-      os << '"';
-      if (e.has_args)
-        os << R"(,"args":{"peer":)" << e.peer << R"(,"tag":)" << e.tag
-           << R"(,"seq":)" << e.seq << R"(,"bytes":)" << e.bytes << "}";
-      os << "}";
-      break;
-    case Ph::End:
-      os << R"({"ph":"E","pid":)" << tb.rank << R"(,"tid":)" << tb.tid
-         << R"(,"ts":)" << ts << "}";
-      break;
-    case Ph::Counter:
-      os << R"({"ph":"C","pid":)" << tb.rank << R"(,"tid":)" << tb.tid
-         << R"(,"ts":)" << ts << R"(,"name":")";
-      write_escaped(os, e.name);
-      os << R"(","args":{"value":)" << e.value << "}}";
-      break;
-    case Ph::FlowStart:
-    case Ph::FlowFinish: {
-      // Flow pair linking a send span to the matching recv/wait span;
-      // Perfetto draws the arrow between the enclosing slices. "bp":"e"
-      // binds the finish to the enclosing slice rather than the next one.
-      char id[32];
-      std::snprintf(id, sizeof id, "%llx",
-                    static_cast<unsigned long long>(e.flow));
-      os << R"({"ph":")" << (e.ph == Ph::FlowStart ? 's' : 'f') << '"'
-         << (e.ph == Ph::FlowFinish ? R"(,"bp":"e")" : "") << R"(,"pid":)"
-         << tb.rank << R"(,"tid":)" << tb.tid << R"(,"ts":)" << ts
-         << R"(,"cat":"comm","name":"msg","id":"0x)" << id << R"("})";
-      break;
+  os << R"({"ph":"M","pid":)" << t.pid << R"(,"tid":)" << t.tid
+     << R"(,"name":"process_name","args":{"name":")" << t.process << "rank "
+     << t.rank << R"("}})"
+     << ",\n"
+     << R"({"ph":"M","pid":)" << t.pid << R"(,"tid":)" << t.tid
+     << R"(,"name":"thread_name","args":{"name":")";
+  json::write_string(os, t.label);
+  os << " (dropped " << t.dropped << ")\"}}";
+  int depth = 0;
+  std::uint64_t last_ts = epoch;
+  for (const Ev& e : events) {
+    if (e.ph == 'E') {
+      if (depth == 0) continue;
+      --depth;
+    } else if (e.ph == 'B') {
+      ++depth;
     }
+    last_ts = std::max(last_ts, e.ts_ns);
+    write_event_line(os, t, e, e.ts_ns - std::min(epoch, e.ts_ns));
   }
+  Ev closer;
+  closer.ph = 'E';
+  for (; depth > 0; --depth)
+    write_event_line(os, t, closer, last_ts - std::min(epoch, last_ts));
+}
+
+/// Inverse of to_string(Cat) (Fault is the last category); an unknown
+/// or absent "cat" reads as App.
+Cat cat_from_string(const std::string& s) {
+  for (int c = 0; c <= static_cast<int>(Cat::Fault); ++c)
+    if (s == to_string(static_cast<Cat>(c))) return static_cast<Cat>(c);
+  return Cat::App;
 }
 
 }  // namespace
@@ -194,13 +239,13 @@ const char* to_string(Cat c) {
 namespace detail {
 
 void begin_span(Cat c, std::string_view name, std::string_view suffix) {
-  push(Ph::Begin, c, name, suffix, 0.0);
+  push('B', c, name, suffix, 0.0);
 }
 
 void begin_span_args(Cat c, std::string_view name, std::string_view suffix,
                      const CommArgs& args) {
   Event e;
-  e.ph = Ph::Begin;
+  e.ph = 'B';
   e.cat = c;
   e.has_args = true;
   e.peer = args.peer;
@@ -210,11 +255,11 @@ void begin_span_args(Cat c, std::string_view name, std::string_view suffix,
   push(e, name, suffix);
 }
 
-void end_span() { push(Ph::End, Cat::Kernel, {}, {}, 0.0); }
+void end_span() { push('E', Cat::Kernel, {}, {}, 0.0); }
 
 void flow_event(bool start, std::uint64_t id) {
   Event e;
-  e.ph = start ? Ph::FlowStart : Ph::FlowFinish;
+  e.ph = start ? 's' : 'f';
   e.cat = Cat::Comm;
   e.flow = id;
   push(e, {}, {});
@@ -275,7 +320,7 @@ int current_rank() { return tls_rank; }
 
 void counter(std::string_view name, double value) {
   if (!enabled()) return;
-  push(Ph::Counter, Cat::App, name, {}, value);
+  push('C', Cat::App, name, {}, value);
 }
 
 std::uint64_t dropped_events_now() {
@@ -319,6 +364,7 @@ std::vector<TrackView> snapshot() {
     for (const Event& e : b->events) {
       EventView v;
       v.ts_ns = e.ts_ns - std::min(epoch, e.ts_ns);
+      v.ph = e.ph;
       v.value = e.value;
       v.flow = e.flow;
       v.cat = e.cat;
@@ -328,13 +374,6 @@ std::vector<TrackView> snapshot() {
       v.seq = e.seq;
       v.bytes = e.bytes;
       v.name = e.name;
-      switch (e.ph) {
-        case Ph::Begin: v.ph = 'B'; break;
-        case Ph::End: v.ph = 'E'; break;
-        case Ph::Counter: v.ph = 'C'; break;
-        case Ph::FlowStart: v.ph = 's'; break;
-        case Ph::FlowFinish: v.ph = 'f'; break;
-      }
       t.events.push_back(std::move(v));
     }
     out.push_back(std::move(t));
@@ -346,41 +385,35 @@ void write_chrome_json(std::ostream& os) {
   Registry& r = reg();
   std::lock_guard<std::mutex> lock(r.mu);
   const std::uint64_t epoch = r.epoch_ns.load(std::memory_order_relaxed);
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  os << kTraceHead;
   bool first = true;
   for (const auto& b : r.buffers) {
     if (b->events.empty()) continue;  // dead or untouched track
-    // Track metadata: process = rank, thread = team member.
-    if (!first) os << ",\n";
-    first = false;
-    os << R"({"ph":"M","pid":)" << b->rank << R"(,"tid":)" << b->tid
-       << R"(,"name":"process_name","args":{"name":"rank )" << b->rank
-       << R"("}})";
-    os << ",\n"
-       << R"({"ph":"M","pid":)" << b->rank << R"(,"tid":)" << b->tid
-       << R"(,"name":"thread_name","args":{"name":")";
-    write_escaped(os, b->label.c_str());
-    os << " (dropped " << b->dropped << ")\"}}";
-    // Events, with unmatched begins closed at the final timestamp so the
-    // emitted stream always has balanced B/E pairs.
-    int depth = 0;
-    std::uint64_t last_ts = epoch;
-    for (const Event& e : b->events) {
-      if (e.ph == Ph::End) {
-        if (depth == 0) continue;  // unmatched end: drop
-        --depth;
-      } else if (e.ph == Ph::Begin) {
-        ++depth;
-      }
-      last_ts = std::max(last_ts, e.ts_ns);
-      write_event_line(os, *b, e, epoch, first);
-    }
-    Event closer;
-    closer.ph = Ph::End;
-    closer.ts_ns = last_ts;
-    for (; depth > 0; --depth) write_event_line(os, *b, closer, epoch, first);
+    write_track(os, {b->rank, b->tid, "", b->rank, b->label, b->dropped},
+                b->events, epoch, first);
   }
-  os << "\n]}\n";
+  os << kTraceTail;
+}
+
+void write_chrome_json(std::ostream& os,
+                       const std::vector<std::vector<TrackView>>& runs) {
+  const int n = static_cast<int>(runs.size());
+  os << kTraceHead;
+  bool first = true;
+  for (int i = 0; i < n; ++i) {
+    const std::string process =
+        n > 1 ? std::string(1, static_cast<char>('A' + i)) + " " : "";
+    for (const TrackView& t : runs[static_cast<std::size_t>(i)]) {
+      if (t.events.empty()) continue;
+      TrackOut out{n * t.rank + i, t.tid, process, t.rank, t.label, t.dropped};
+      if (n > 1) {
+        out.flow_mask = (std::uint64_t{1} << kRunFlowShift) - 1;
+        out.flow_tag = static_cast<std::uint64_t>(i) << kRunFlowShift;
+      }
+      write_track(os, out, t.events, 0, first);
+    }
+  }
+  os << kTraceTail;
 }
 
 void write_chrome_json_file(const std::string& path) {
@@ -388,6 +421,64 @@ void write_chrome_json_file(const std::string& path) {
   BWLAB_REQUIRE(os.good(), "cannot open trace output file '" << path << "'");
   write_chrome_json(os);
   BWLAB_REQUIRE(os.good(), "failed writing trace to '" << path << "'");
+}
+
+std::vector<TrackView> parse_chrome_json(std::istream& is) {
+  std::vector<TrackView> out;
+  std::map<std::pair<int, int>, std::size_t> index;
+  std::string line;
+  while (std::getline(is, line)) {
+    // One event object per line, each but the last followed by a comma;
+    // the envelope lines are not objects.
+    while (!line.empty() && line.back() == ',')
+      line.pop_back();
+    if (line.size() < 2 || line.front() != '{' || line.back() != '}')
+      continue;
+    const json::Value v = json::parse(line);
+    const std::string ph = json::str_field(v, "ph");
+    if (ph.empty()) continue;
+    const std::pair<int, int> key{
+        static_cast<int>(json::num_field(v, "pid")),
+        static_cast<int>(json::num_field(v, "tid"))};
+    const auto [it, added] = index.emplace(key, out.size());
+    if (added) {
+      out.emplace_back();
+      out.back().rank = key.first;
+      out.back().tid = key.second;
+    }
+    TrackView& t = out[it->second];
+    const json::Value& args = json::obj_field(v, "args");
+    if (ph[0] == 'M') {
+      // The thread name carries the label and the drop count:
+      // "rank 0 main (dropped N)".
+      if (json::str_field(v, "name") != "thread_name") continue;
+      const std::string name = json::str_field(args, "name");
+      const std::size_t at = name.rfind(" (dropped ");
+      t.label = name.substr(0, at);
+      if (at != std::string::npos)
+        t.dropped = std::strtoull(name.c_str() + at + 10, nullptr, 10);
+      continue;
+    }
+    EventView e;
+    e.ph = ph[0];
+    e.ts_ns = static_cast<std::uint64_t>(
+        std::llround(json::num_field(v, "ts") * 1000.0));
+    e.cat = cat_from_string(json::str_field(v, "cat"));
+    e.name = json::str_field(v, "name");
+    if (e.ph == 's' || e.ph == 'f') {
+      e.flow = std::strtoull(json::str_field(v, "id").c_str(), nullptr, 16);
+    } else if (e.ph == 'C') {
+      e.value = json::num_field(args, "value");
+    } else if (e.ph == 'B' && args.find("peer") != nullptr) {
+      e.has_args = true;
+      e.peer = static_cast<int>(json::num_field(args, "peer"));
+      e.tag = static_cast<int>(json::num_field(args, "tag"));
+      e.seq = static_cast<long long>(json::num_field(args, "seq"));
+      e.bytes = static_cast<unsigned long long>(json::num_field(args, "bytes"));
+    }
+    t.events.push_back(std::move(e));
+  }
+  return out;
 }
 
 }  // namespace bwlab::trace

@@ -17,6 +17,11 @@
 // analyzer (core/causal.hpp) can match send→recv pairs. snapshot()
 // exposes the buffered events post-join for that in-process analysis.
 //
+// This module is the one place that knows the trace format: the live
+// writer, the writer over decoded tracks (bwdiff's merged two-run trace)
+// and the reader (parse_chrome_json, for trace_analyze and run_diff)
+// share one event-line writer and one track loop.
+//
 // The tracer is compiled in but runtime-disabled by default. The disabled
 // fast path is a single relaxed atomic load plus one branch (asserted
 // < 5 ns by bench/gb_trace_overhead); enabling costs one buffered event
@@ -108,8 +113,9 @@ void counter(std::string_view name, double value);
 std::uint64_t dropped_events();
 
 /// Lock-free mirror of dropped_events(), for mid-run readers: the bwlive
-/// sampler surfaces buffer overflow *while* the run is going (live gauge
-/// + status line) instead of only in the exit-time trace-health section.
+/// sampler surfaces buffer overflow *while* the run is going (a sample
+/// column + status line) instead of only in the exit-time trace-health
+/// section.
 /// dropped_events() walks the buffer registry under its mutex and must
 /// not be called concurrently with recording; this relaxed counter may.
 std::uint64_t dropped_events_now();
@@ -187,6 +193,20 @@ void write_chrome_json(std::ostream& os);
 
 /// write_chrome_json to `path`; throws bwlab::Error if unwritable.
 void write_chrome_json_file(const std::string& path);
+
+/// The same format over decoded tracks, one track list per run. One run
+/// gives the bytes write_chrome_json(os) gave for those tracks. Several
+/// runs (bwdiff's merged trace) sit side by side: run i's tracks on pid
+/// = nruns·rank + i with process names "A rank R", "B rank R", ..., and
+/// run i's flow ids carry i in their top byte, so each run keeps its own
+/// flow-id space and no arrow joins two runs.
+void write_chrome_json(std::ostream& os,
+                       const std::vector<std::vector<TrackView>>& runs);
+
+/// Reads a trace written by write_chrome_json back into tracks (pid ->
+/// rank, thread name -> label and drop count), one event object per line
+/// as the writer emits them. Throws bwlab::Error on a malformed line.
+std::vector<TrackView> parse_chrome_json(std::istream& is);
 
 /// RAII span: records a begin event on construction and an end event on
 /// destruction when tracing is enabled; a no-op otherwise. The name is

@@ -121,7 +121,7 @@ struct Options {
 };
 
 /// Analyzes decoded track views (trace::snapshot() or
-/// parse_chrome_trace). Only rank-main tracks (tid 0) participate;
+/// trace::parse_chrome_json). Only rank-main tracks (tid 0) participate;
 /// worker and watchdog tracks are ignored.
 Report analyze(const std::vector<trace::TrackView>& tracks,
                const Options& opts = {});
@@ -129,11 +129,6 @@ Report analyze(const std::vector<trace::TrackView>& tracks,
 /// analyze() on a snapshot of the global tracer. Call post-join, after
 /// trace::disable().
 Report analyze_live(const Options& opts = {});
-
-/// Parses a Chrome trace JSON previously written by
-/// trace::write_chrome_json (one event per line) back into track views,
-/// so tools/trace_analyze can run the same analysis offline.
-std::vector<trace::TrackView> parse_chrome_trace(std::istream& is);
 
 /// Result of cross-checking the trace-derived communication matrix
 /// against the runtime's own per-rank counters.

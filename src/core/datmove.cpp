@@ -14,21 +14,6 @@
 
 namespace bwlab::core {
 
-namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
-}  // namespace
-
 DatMoveReport DataMoveProfiler::analyze(const Instrumentation& instr,
                                         const sim::MachineModel* machine,
                                         const std::string& placement) {
@@ -212,9 +197,9 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   const std::string in = i0 + "  ";
   const std::string in2 = in + "  ";
   os << "{\n" << in << "\"placement_policy\": \"";
-  write_json_escaped(os, r.placement_policy);
+  json::write_string(os, r.placement_policy);
   os << "\",\n" << in << "\"machine\": \"";
-  write_json_escaped(os, r.machine_id);
+  json::write_string(os, r.machine_id);
   os << "\",\n" << in << "\"total_bytes\": " << r.total_bytes << ",\n"
      << in << "\"working_set_bytes\": " << r.working_set_bytes << ",\n"
      << in << "\"halo_bytes_sent\": " << r.halo_bytes_sent << ",\n"
@@ -224,9 +209,9 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   for (const DatMoveRecord& d : r.records) {
     os << (first ? "\n" : ",\n") << in2 << "{\"loop\": \"";
     first = false;
-    write_json_escaped(os, d.loop);
+    json::write_string(os, d.loop);
     os << "\", \"dat\": \"";
-    write_json_escaped(os, d.dat);
+    json::write_string(os, d.dat);
     os << "\", \"executions\": " << d.executions
        << ", \"bytes_read\": " << d.bytes_read
        << ", \"bytes_written\": " << d.bytes_written << "}";
@@ -236,7 +221,7 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   for (const DatMoveLoopSummary& s : r.loops) {
     os << (first ? "\n" : ",\n") << in2 << "{\"loop\": \"";
     first = false;
-    write_json_escaped(os, s.loop);
+    json::write_string(os, s.loop);
     os << "\", \"counted_bytes\": " << s.counted_bytes
        << ", \"modeled_bytes\": " << s.modeled_bytes
        << ", \"drift\": " << s.drift << "}";
@@ -246,10 +231,10 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   for (const DatMovePlacement& p : r.dats) {
     os << (first ? "\n" : ",\n") << in2 << "{\"dat\": \"";
     first = false;
-    write_json_escaped(os, p.dat);
+    json::write_string(os, p.dat);
     os << "\", \"alloc_bytes\": " << p.alloc_bytes
        << ", \"bytes_moved\": " << p.bytes_moved << ", \"tier\": \"";
-    write_json_escaped(os, p.tier);
+    json::write_string(os, p.tier);
     os << "\"}";
   }
   os << (first ? "]" : "\n" + in + "]") << ",\n" << in
@@ -276,7 +261,7 @@ void write_json(std::ostream& os, const DatMoveReport& r, int indent) {
   for (const TierTraffic& tt : r.tiers) {
     os << (first ? "\n" : ",\n") << in2 << "{\"name\": \"";
     first = false;
-    write_json_escaped(os, tt.name);
+    json::write_string(os, tt.name);
     os << "\", \"capacity_bytes\": " << tt.capacity_bytes
        << ", \"bw_bytes_per_s\": " << tt.bw_bytes_per_s
        << ", \"resident_bytes\": " << tt.resident_bytes

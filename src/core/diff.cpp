@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <set>
 #include <utility>
 
+#include "common/benchjson.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
+#include "common/json.hpp"
 
 namespace bwlab::core {
 
@@ -39,17 +39,6 @@ const char* to_string(Significance s) {
 
 namespace {
 
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
 /// Per-loop counted bytes: bwmem exact counts when the report has a
 /// datmove section, the loop record's useful-bytes estimate otherwise.
 std::map<std::string, count_t> loop_bytes(const RunReport& r, bool counted) {
@@ -72,25 +61,23 @@ std::map<std::string, std::vector<double>> loop_samples(
   return out;
 }
 
-/// bench_compare's noise gate: a move is significant only when the
-/// median shifts beyond the relative threshold AND the two
-/// [median ± k·MAD] intervals are disjoint (so run-to-run noise cannot
-/// produce the verdict).
+/// bench_compare's noise gate (benchjson::compare_metric): a move is
+/// significant only when the median shifts beyond the relative threshold
+/// AND the two [median ± k·MAD] intervals are disjoint (so run-to-run
+/// noise cannot produce the verdict).
 Significance judge(const std::vector<double>& a, const std::vector<double>& b,
                    const DiffOptions& opts, LoopDelta& d) {
   if (a.size() < 2 || b.size() < 2) return Significance::NoSamples;
-  d.a_median = median(a);
-  d.a_mad = mad(a);
-  d.b_median = median(b);
-  d.b_mad = mad(b);
-  const double base = std::abs(d.a_median);
-  const bool beyond =
-      std::abs(d.b_median - d.a_median) > opts.threshold * base;
-  const bool disjoint =
-      d.a_median + opts.mad_k * d.a_mad < d.b_median - opts.mad_k * d.b_mad ||
-      d.b_median + opts.mad_k * d.b_mad < d.a_median - opts.mad_k * d.a_mad;
-  return beyond && disjoint ? Significance::Significant
-                            : Significance::Insignificant;
+  const benchjson::MetricDelta m = benchjson::compare_metric(
+      "", {d.name, "s", benchjson::Better::Lower, a},
+      {d.name, "s", benchjson::Better::Lower, b},
+      {opts.threshold, opts.mad_k});
+  d.a_median = m.base_median;
+  d.a_mad = m.base_mad;
+  d.b_median = m.cand_median;
+  d.b_mad = m.cand_mad;
+  return m.verdict == benchjson::Verdict::Ok ? Significance::Insignificant
+                                             : Significance::Significant;
 }
 
 template <class T, class Fn>
@@ -375,7 +362,7 @@ void write_json(std::ostream& os, const DiffReport& d) {
   for (const LoopDelta& l : d.loops) {
     os << (first ? "\n" : ",\n") << "    {\"name\": \"";
     first = false;
-    write_json_escaped(os, l.name);
+    json::write_string(os, l.name);
     os << "\", \"status\": \"" << to_string(l.status)
        << "\", \"a_seconds\": " << l.a_seconds
        << ", \"b_seconds\": " << l.b_seconds
@@ -417,9 +404,9 @@ void write_json(std::ostream& os, const DiffReport& d) {
   for (const DatDelta& x : d.dats) {
     os << (first ? "\n" : ",\n") << "    {\"loop\": \"";
     first = false;
-    write_json_escaped(os, x.loop);
+    json::write_string(os, x.loop);
     os << "\", \"dat\": \"";
-    write_json_escaped(os, x.dat);
+    json::write_string(os, x.dat);
     os << "\", \"status\": \"" << to_string(x.status)
        << "\", \"a_bytes\": " << x.a_bytes << ", \"b_bytes\": " << x.b_bytes
        << ", \"delta_bytes\": " << x.delta_bytes << "}";
@@ -450,114 +437,10 @@ void write_csv(std::ostream& os, const DiffReport& d) {
 
 // --- Merged Chrome trace -----------------------------------------------------
 
-namespace {
-
-void write_escaped_chrome(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
-/// Emits one run's tracks with pid = 2·rank + side (A = 0, B = 1), the
-/// same event-line format trace::write_chrome_json uses, with unmatched
-/// begins closed at the track's last timestamp.
-void write_side(std::ostream& os, const std::vector<trace::TrackView>& tracks,
-                int side, const char* tag, bool& first) {
-  for (const trace::TrackView& t : tracks) {
-    if (t.events.empty()) continue;
-    const int pid = 2 * t.rank + side;
-    if (!first) os << ",\n";
-    first = false;
-    os << R"({"ph":"M","pid":)" << pid << R"(,"tid":)" << t.tid
-       << R"(,"name":"process_name","args":{"name":")" << tag << " rank "
-       << t.rank << R"("}})";
-    os << ",\n"
-       << R"({"ph":"M","pid":)" << pid << R"(,"tid":)" << t.tid
-       << R"(,"name":"thread_name","args":{"name":")";
-    write_escaped_chrome(os, t.label);
-    os << R"("}})";
-    auto emit_ts = [&os](std::uint64_t ts_ns) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    static_cast<double>(ts_ns) / 1000.0);
-      os << buf;
-    };
-    int depth = 0;
-    std::uint64_t last_ts = 0;
-    auto emit_end = [&](std::uint64_t ts_ns) {
-      os << ",\n"
-         << R"({"ph":"E","pid":)" << pid << R"(,"tid":)" << t.tid
-         << R"(,"ts":)";
-      emit_ts(ts_ns);
-      os << "}";
-    };
-    for (const trace::EventView& e : t.events) {
-      last_ts = std::max(last_ts, e.ts_ns);
-      switch (e.ph) {
-        case 'B':
-          ++depth;
-          os << ",\n"
-             << R"({"ph":"B","pid":)" << pid << R"(,"tid":)" << t.tid
-             << R"(,"ts":)";
-          emit_ts(e.ts_ns);
-          os << R"(,"cat":")" << to_string(e.cat) << R"(","name":")";
-          write_escaped_chrome(os, e.name);
-          os << '"';
-          if (e.has_args)
-            os << R"(,"args":{"peer":)" << e.peer << R"(,"tag":)" << e.tag
-               << R"(,"seq":)" << e.seq << R"(,"bytes":)" << e.bytes << "}";
-          os << "}";
-          break;
-        case 'E':
-          if (depth == 0) continue;  // unmatched end: drop
-          --depth;
-          emit_end(e.ts_ns);
-          break;
-        case 'C':
-          os << ",\n"
-             << R"({"ph":"C","pid":)" << pid << R"(,"tid":)" << t.tid
-             << R"(,"ts":)";
-          emit_ts(e.ts_ns);
-          os << R"(,"name":")";
-          write_escaped_chrome(os, e.name);
-          os << R"(","args":{"value":)" << e.value << "}}";
-          break;
-        case 's':
-        case 'f': {
-          char id[32];
-          std::snprintf(id, sizeof id, "%llx",
-                        static_cast<unsigned long long>(e.flow));
-          os << ",\n"
-             << R"({"ph":")" << e.ph << '"'
-             << (e.ph == 'f' ? R"(,"bp":"e")" : "") << R"(,"pid":)" << pid
-             << R"(,"tid":)" << t.tid << R"(,"ts":)";
-          emit_ts(e.ts_ns);
-          os << R"(,"cat":"comm","name":"msg","id":"0x)" << id << R"("})";
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    for (; depth > 0; --depth) emit_end(last_ts);
-  }
-}
-
-}  // namespace
-
 void write_merged_chrome_trace(std::ostream& os,
                                const std::vector<trace::TrackView>& a,
                                const std::vector<trace::TrackView>& b) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  write_side(os, a, /*side=*/0, "A", first);
-  write_side(os, b, /*side=*/1, "B", first);
-  os << "\n]}\n";
+  trace::write_chrome_json(os, {a, b});
 }
 
 }  // namespace bwlab::core

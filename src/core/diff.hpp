@@ -161,9 +161,10 @@ void write_json(std::ostream& os, const DiffReport& d);
 /// Flat CSV: section,key,status,a,b,delta rows for loops/buckets/comm/dats.
 void write_csv(std::ostream& os, const DiffReport& d);
 
-/// Merged Chrome trace: run A's tracks on pid 2·rank, run B's on
-/// pid 2·rank+1 (process names "A rank R" / "B rank R"), both at their
-/// own epoch 0 so the timelines align visually in Perfetto.
+/// Merged Chrome trace (trace::write_chrome_json over both runs): run
+/// A's tracks on pid 2·rank, run B's on pid 2·rank+1 (process names
+/// "A rank R" / "B rank R"), both at their own epoch 0 so the timelines
+/// align visually in Perfetto, each run in its own flow-id space.
 void write_merged_chrome_trace(std::ostream& os,
                                const std::vector<trace::TrackView>& a,
                                const std::vector<trace::TrackView>& b);

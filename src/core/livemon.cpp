@@ -13,47 +13,13 @@ double live_roof_bytes_per_s(const sim::MachineModel& machine) {
   return machine.stream_triad_node;
 }
 
-namespace {
-
-/// True when rank `r` made no observable progress between samples i-1
-/// and i: every progress key the series carries for it is flat. A rank
-/// with no progress keys at all is never flagged (nothing to judge).
-bool window_flat(const live::TimeSeries& ts, int r, std::size_t i) {
-  bool any_key = false;
-  for (const char* what : {"steps", "msgs_sent", "bytes_sent"}) {
-    const int k = ts.key_index(live::rank_key(r, what));
-    if (k < 0) continue;
-    any_key = true;
-    if (ts.value(i, k) != ts.value(i - 1, k)) return false;
-  }
-  return any_key;
-}
-
-}  // namespace
-
-std::vector<StallFlag> classify_stalls(const live::TimeSeries& ts,
-                                       std::size_t windows) {
-  std::vector<StallFlag> out;
-  if (windows == 0 || ts.size() < windows + 1) return out;
-  for (const int r : ts.ranks()) {
-    std::size_t flat = 0;
-    for (std::size_t i = ts.size() - 1; i > 0; --i) {
-      if (!window_flat(ts, r, i)) break;
-      ++flat;
-    }
-    if (flat >= windows)
-      out.push_back(StallFlag{r, flat, ts.times[ts.size() - 1 - flat]});
-  }
-  return out;
-}
-
 std::string live_rank_table(const live::TimeSeries& ts,
                             std::size_t windows) {
   std::ostringstream os;
   const std::vector<int> ranks = ts.ranks();
   if (ranks.empty()) return "";
   std::vector<int> stalled;
-  for (const StallFlag& f : classify_stalls(ts, windows))
+  for (const live::StallFlag& f : live::classify_stalls(ts, windows))
     stalled.push_back(f.rank);
   os << "  rank      steps       msgs    MB sent  pend  mbox  op\n";
   for (const int r : ranks) {

@@ -1,4 +1,4 @@
-// bwlive analysis: the machine-model join and the stall classifier for
+// bwlive analysis: the machine-model join and the per-rank renders for
 // live telemetry (common/live.hpp collects; this layer interprets).
 //
 // The roof the live bandwidth is compared against is the MachineModel's
@@ -7,17 +7,12 @@
 // peak, so "100% of roof" means "as fast as STREAM", the honest ceiling
 // for a bandwidth-bound code.
 //
-// The stall classifier is the offline twin of the sampler's online
-// flat-window flagging: a rank whose progress counters (steps, messages,
-// bytes sent) are all flat across the last `windows` sampling windows is
-// stalling. Its window count is strictly shorter than the bwfault
-// watchdog's grace period, so the live "stalling" flag always precedes a
-// WatchdogError — tests assert that ordering.
+// Stall flags come from live::classify_stalls (common/timeseries.hpp),
+// the same rule the sampler applies while the run is going.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/timeseries.hpp"
 
@@ -30,21 +25,6 @@ namespace bwlab::core {
 /// The bandwidth roof live telemetry is measured against: the machine's
 /// achieved STREAM-triad node bandwidth in bytes/s.
 double live_roof_bytes_per_s(const sim::MachineModel& machine);
-
-/// One stalling rank: flat for `windows` consecutive trailing windows,
-/// i.e. no observed progress since `since_s` (run-relative seconds).
-struct StallFlag {
-  int rank = -1;
-  std::size_t windows = 0;
-  double since_s = 0;
-};
-
-/// Ranks whose progress counters are flat across the last `windows`
-/// windows of `ts` (needs windows + 1 trailing samples; fewer samples or
-/// no per-rank keys => no flags). Progress = any of rank.<R>.steps /
-/// .msgs_sent / .bytes_sent changing.
-std::vector<StallFlag> classify_stalls(const live::TimeSeries& ts,
-                                       std::size_t windows);
 
 /// Per-rank table of the last sample (rank, steps, msgs, MB sent,
 /// pending irecvs, mailbox, blocked op, stall flag) — what bwtop and the

@@ -4,24 +4,10 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "sim/bandwidth.hpp"
 
 namespace bwlab::core {
-
-namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
-}  // namespace
 
 MemTierSection build_memtier_section(const Instrumentation& instr,
                                      const sim::MachineModel& m,
@@ -85,12 +71,12 @@ void write_json(std::ostream& os, const MemTierSection& s, int indent) {
   const std::string in2 = in + "  ";
   os << "{\n" << in << "\"schema_version\": " << s.schema_version << ",\n"
      << in << "\"machine\": \"";
-  write_json_escaped(os, s.machine_id);
+  json::write_string(os, s.machine_id);
   os << "\",\n" << in << "\"mode\": \"";
-  write_json_escaped(os, s.mode);
+  json::write_string(os, s.mode);
   os << "\",\n" << in << "\"snc\": " << (s.snc ? "true" : "false") << ",\n"
      << in << "\"place\": \"";
-  write_json_escaped(os, s.place);
+  json::write_string(os, s.place);
   os << "\",\n" << in << "\"working_set_bytes\": " << s.working_set_bytes
      << ",\n" << in << "\"hbm_capacity_bytes\": " << s.hbm_capacity_bytes
      << ",\n" << in << "\"hbm_hit_fraction\": " << s.hbm_hit_fraction << ",\n"
@@ -101,15 +87,15 @@ void write_json(std::ostream& os, const MemTierSection& s, int indent) {
   for (const LoopTierRoofs& l : s.loop_roofs) {
     os << (first ? "\n" : ",\n") << in2 << "{\"loop\": \"";
     first = false;
-    write_json_escaped(os, l.loop);
+    json::write_string(os, l.loop);
     os << "\", \"measured_s\": " << l.measured_s << ", \"binding_tier\": \"";
-    write_json_escaped(os, l.binding_tier);
+    json::write_string(os, l.binding_tier);
     os << "\", \"roof_seconds\": " << l.roof_seconds << ", \"tiers\": [";
     bool tfirst = true;
     for (const TierRoofEntry& e : l.tiers) {
       os << (tfirst ? "" : ", ") << "{\"tier\": \"";
       tfirst = false;
-      write_json_escaped(os, e.tier);
+      json::write_string(os, e.tier);
       os << "\", \"bytes\": " << e.bytes
          << ", \"roof_seconds\": " << e.roof_seconds << "}";
     }

@@ -54,21 +54,6 @@ SlowdownSummary summarize_slowdowns(
   return {mean(all), median(all)};
 }
 
-namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\')
-      os << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      os << '_';
-    else
-      os << c;
-  }
-}
-
-}  // namespace
-
 Table top_loops_table(const Instrumentation& instr, std::size_t top_n) {
   std::vector<const LoopRecord*> loops = instr.loops_in_order();
   std::stable_sort(loops.begin(), loops.end(),
@@ -217,11 +202,11 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   os << "{\n";
   if (r.provenance.present) {
     os << "  \"provenance\": {\"git_sha\": \"";
-    write_json_escaped(os, r.provenance.git_sha);
+    json::write_string(os, r.provenance.git_sha);
     os << "\", \"machine\": \"";
-    write_json_escaped(os, r.provenance.machine);
+    json::write_string(os, r.provenance.machine);
     os << "\", \"cmdline\": \"";
-    write_json_escaped(os, r.provenance.cmdline);
+    json::write_string(os, r.provenance.cmdline);
     os << "\", \"seed\": " << r.provenance.seed << "},\n";
   }
   os << "  \"loops\": [";
@@ -229,7 +214,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   for (const ReportLoop& l : r.loops) {
     os << (first ? "\n" : ",\n") << "    {\"name\": \"";
     first = false;
-    write_json_escaped(os, l.name);
+    json::write_string(os, l.name);
     os << "\", \"calls\": " << l.calls << ", \"points\": " << l.points
        << ", \"bytes\": " << l.bytes << ", \"flops\": " << l.flops
        << ", \"host_seconds\": " << l.host_seconds
@@ -243,7 +228,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   for (const ReportExchange& e : r.exchanges) {
     os << (first ? "\n" : ",\n") << "    {\"dat\": \"";
     first = false;
-    write_json_escaped(os, e.dat);
+    json::write_string(os, e.dat);
     os << "\", \"exchanges\": " << e.exchanges
        << ", \"messages\": " << e.messages << ", \"bytes\": " << e.bytes
        << ", \"bytes_received\": " << e.bytes_received
@@ -263,9 +248,9 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
   if (r.has_attribution) {
     const AttributionReport& attr = r.attribution;
     os << ",\n  \"attribution\": {\n    \"machine\": \"";
-    write_json_escaped(os, attr.machine_id);
+    json::write_string(os, attr.machine_id);
     os << "\", \"config\": \"";
-    write_json_escaped(os, attr.config_label);
+    json::write_string(os, attr.config_label);
     os << "\", \"tolerance\": " << attr.tolerance
        << ", \"byte_tolerance\": " << attr.byte_tolerance
        << ",\n    \"measured_total_seconds\": " << attr.measured_total
@@ -277,7 +262,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
     for (const LoopAttribution& a : attr.loops) {
       os << (afirst ? "\n" : ",\n") << "      {\"name\": \"";
       afirst = false;
-      write_json_escaped(os, a.name);
+      json::write_string(os, a.name);
       os << "\", \"measured_seconds\": " << a.measured_s
          << ", \"predicted_seconds\": " << a.predicted_s
          << ", \"mem_roof_seconds\": " << a.mem_roof_s
@@ -335,7 +320,7 @@ void write_run_report_json(std::ostream& os, const RunReport& r) {
       os << (tfirst ? "\n" : ",\n") << "      {\"rank\": " << d.rank
          << ", \"tid\": " << d.tid << ", \"label\": \"";
       tfirst = false;
-      write_json_escaped(os, d.label);
+      json::write_string(os, d.label);
       os << "\", \"dropped\": " << d.dropped << "}";
     }
     os << (tfirst ? "]" : "\n    ]") << "\n  }";
@@ -599,29 +584,6 @@ RunReport read_run_report(const std::string& path) {
   std::ifstream is(path);
   BWLAB_REQUIRE(is.good(), "cannot open run report '" << path << "'");
   return parse_run_report(is);
-}
-
-// --- Legacy live-state entry points -----------------------------------------
-
-void write_run_report_json(std::ostream& os, const Instrumentation& instr,
-                           const MetricsRegistry* metrics,
-                           const AttributionReport* attr,
-                           const causal::Report* causal_rep,
-                           const DatMoveReport* datmove) {
-  write_run_report_json(
-      os, make_run_report(instr, metrics, attr, causal_rep, datmove));
-}
-
-void write_run_report_json_file(const std::string& path,
-                                const Instrumentation& instr,
-                                const MetricsRegistry* metrics,
-                                const AttributionReport* attr,
-                                const causal::Report* causal_rep,
-                                const DatMoveReport* datmove) {
-  std::ofstream os(path);
-  BWLAB_REQUIRE(os.good(), "cannot open report output file '" << path << "'");
-  write_run_report_json(os, instr, metrics, attr, causal_rep, datmove);
-  BWLAB_REQUIRE(os.good(), "failed writing report to '" << path << "'");
 }
 
 }  // namespace bwlab::core

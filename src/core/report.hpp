@@ -164,8 +164,7 @@ struct RunReport {
 /// Snapshots the live run state into a RunReport: instrumentation records,
 /// the optional metrics registry / attribution / causal / datmove sections,
 /// plus the process-wide resil counters (when resil::active()) and tracer
-/// drop counts (when any events were recorded) — exactly what the legacy
-/// write_run_report_json(instr, ...) serialized.
+/// drop counts (when any events were recorded).
 RunReport make_run_report(const Instrumentation& instr,
                           const MetricsRegistry* metrics = nullptr,
                           const AttributionReport* attr = nullptr,
@@ -192,20 +191,5 @@ RunReport parse_run_report(std::istream& is);
 
 /// parse_run_report from `path`; throws bwlab::Error if unreadable.
 RunReport read_run_report(const std::string& path);
-
-/// Legacy convenience: write_run_report_json(os, make_run_report(...)).
-void write_run_report_json(std::ostream& os, const Instrumentation& instr,
-                           const MetricsRegistry* metrics = nullptr,
-                           const AttributionReport* attr = nullptr,
-                           const causal::Report* causal_rep = nullptr,
-                           const DatMoveReport* datmove = nullptr);
-
-/// write_run_report_json to `path`; throws bwlab::Error if unwritable.
-void write_run_report_json_file(const std::string& path,
-                                const Instrumentation& instr,
-                                const MetricsRegistry* metrics = nullptr,
-                                const AttributionReport* attr = nullptr,
-                                const causal::Report* causal_rep = nullptr,
-                                const DatMoveReport* datmove = nullptr);
 
 }  // namespace bwlab::core

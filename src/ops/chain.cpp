@@ -145,49 +145,6 @@ Range ChainQueue::extended_local_range(
   return out;
 }
 
-void ChainQueue::execute_untiled() {
-  BWLAB_REQUIRE(!ctx_->lazy(),
-                "disable lazy mode before executing the captured chain");
-  trace::TraceSpan chain_span(trace::Cat::Region, "chain.untiled");
-  const bool dm = datmove::enabled();
-  ChainMoveRecord cm;
-  std::set<const void*> cm_seen;
-  for (ChainLoop& l : loops_) {
-    for (const ChainDatUse& u : l.uses)
-      if (u.is_read && u.read_radius > 0) u.exchange();
-    const Range local =
-        extended_local_range(l, 0, {false, false, false});
-    if (dm && !local.empty()) {
-      Instrumentation& ins = ctx_->instr();
-      const int nd = l.block->ndims();
-      ++cm.loops;
-      for (const ChainDatUse& u : l.uses) {
-        const count_t rb = u.is_read ? use_read_bytes(u, local, nd) : 0;
-        const count_t wb = u.is_written ? use_write_bytes(u, local) : 0;
-        ins.datmove_add(l.name, u.name, rb, wb);
-        ins.datmove_dat(u.name, use_alloc_bytes(u), rb + wb);
-        ins.datmove_touch(u.id, rb + wb, rb + wb);
-        cm.counted_bytes += rb + wb;
-        if (cm_seen.insert(u.id).second)
-          cm.working_set_bytes += use_alloc_bytes(u);
-      }
-    }
-    Timer t;
-    {
-      trace::TraceSpan span(trace::Cat::Kernel, l.name);
-      if (!local.empty()) l.body(local);
-    }
-    ctx_->instr().loop(l.name).host_seconds += t.elapsed();
-    for (const ChainDatUse& u : l.uses)
-      if (u.is_written) u.mark_dirty();
-  }
-  if (dm) {
-    ctx_->instr().datmove_chain(cm);
-    ctx_->instr().datmove_emit_counter();
-  }
-  loops_.clear();
-}
-
 void ChainQueue::execute_tiled(idx_t tile_outer) {
   BWLAB_REQUIRE(!ctx_->lazy(),
                 "disable lazy mode before executing the captured chain");

@@ -103,10 +103,6 @@ class ChainQueue {
   /// team size.
   void execute_tiled(idx_t tile_outer);
 
-  /// Reference execution: loop-by-loop with per-loop halo exchanges, same
-  /// semantics as eager mode. Used to validate tiling.
-  void execute_untiled();
-
  private:
   /// Local range of `loop` extended by `ext` into the halo (redundant
   /// compute). At non-periodic physical edges the extension is clamped to

@@ -2,7 +2,7 @@
 // flow-id stability, wait-state classification on synthetic timelines,
 // the live 2-rank late-sender scenario driven by a bwfault delay spec,
 // matched s/f flow events in the exported Chrome JSON, offline
-// parse_chrome_trace equivalence, per-thread drop accounting in the run
+// parse_chrome_json equivalence, per-thread drop accounting in the run
 // report, and the headline acceptance scenario — CloverLeaf 2D with a
 // delayed halo send classified as late-sender, the critical path crossing
 // the delayed rank, and bucket seconds summing to the traced wall time.
@@ -260,7 +260,7 @@ TEST_F(CausalTest, OfflineParseMatchesLiveAnalysis) {
   trace::write_chrome_json(os);
   std::istringstream is(os.str());
   const Report offline =
-      core::causal::analyze(core::causal::parse_chrome_trace(is));
+      core::causal::analyze(trace::parse_chrome_json(is));
 
   ASSERT_EQ(live.messages.size(), 10u);
   EXPECT_EQ(offline.messages.size(), live.messages.size());
@@ -296,7 +296,7 @@ TEST_F(CausalTest, DroppedEventsExposedPerThreadAndInReport) {
 
   Instrumentation instr;
   std::ostringstream os;
-  core::write_run_report_json(os, instr);
+  core::write_run_report_json(os, core::make_run_report(instr));
   const std::string json = os.str();
   EXPECT_NE(json.find("\"trace\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\""), std::string::npos);
@@ -348,7 +348,8 @@ TEST_F(CausalTest, CloverDelayedHaloSendAcceptance) {
 
   // And the causal section lands in the run report JSON.
   std::ostringstream rep;
-  core::write_run_report_json(rep, res.instr, nullptr, nullptr, &r);
+  core::write_run_report_json(
+      rep, core::make_run_report(res.instr, nullptr, nullptr, &r));
   EXPECT_NE(rep.str().find("\"causal\""), std::string::npos);
   EXPECT_NE(rep.str().find("\"critical_path\""), std::string::npos);
 }

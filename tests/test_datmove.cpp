@@ -303,8 +303,8 @@ TEST(DatMove, JsonRoundTripsBareAndInsideRunReport) {
 
   // Embedded in the full run report (the tools/datmove_report path).
   std::ostringstream ros;
-  core::write_run_report_json(ros, res.instr, nullptr, nullptr, nullptr,
-                              &rep);
+  core::write_run_report_json(
+      ros, core::make_run_report(res.instr, nullptr, nullptr, nullptr, &rep));
   EXPECT_NE(ros.str().find("\"datmove\""), std::string::npos);
   std::istringstream ris(ros.str());
   const core::DatMoveReport back2 = core::parse_datmove_json(ris);
@@ -312,7 +312,7 @@ TEST(DatMove, JsonRoundTripsBareAndInsideRunReport) {
 
   // A report with no datmove section is a diagnosed error.
   std::ostringstream plain;
-  core::write_run_report_json(plain, res.instr);
+  core::write_run_report_json(plain, core::make_run_report(res.instr));
   std::istringstream pis(plain.str());
   EXPECT_THROW(core::parse_datmove_json(pis), Error);
 }

@@ -4,15 +4,19 @@
 // contributions summing exactly to the measured totals, zero-duration
 // buckets, a clean error on mismatched rank counts, MAD significance
 // verdicts on synthetic repetition samples, bitwise
-// write -> parse -> rewrite stability of every report section, and the
+// write -> parse -> rewrite stability of every report section, the merged
+// two-run trace (flows stay within their run, drop counts survive), and the
 // acceptance scenario: a CloverLeaf run pair where one side carries an
 // injected bwfault send delay must attribute the majority of the wall
 // delta to comm_wait.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
@@ -283,6 +287,58 @@ TEST_F(DiffTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse_run_report(not_json), Error);
   std::istringstream no_loops("{\"exchanges\": []}");
   EXPECT_THROW(parse_run_report(no_loops), Error);
+}
+
+// --- Merged two-run trace ----------------------------------------------------
+
+std::vector<trace::TrackView> traced_clover_tracks() {
+  trace::reset();
+  trace::enable();
+  apps::Options opt;
+  opt.n = 24;
+  opt.iterations = 2;
+  opt.ranks = 2;
+  const apps::Result res = apps::clover2d::run(opt);
+  trace::disable();
+  EXPECT_NE(res.checksum, 0.0);
+  return trace::snapshot();
+}
+
+TEST_F(DiffTest, MergedTraceKeepsFlowsWithinEachRunAndDropCounts) {
+  // Two identical runs record identical flow ids: the merged trace must
+  // still pair every send with the recv of its own run.
+  const std::vector<trace::TrackView> a = traced_clover_tracks();
+  std::vector<trace::TrackView> b = traced_clover_tracks();
+  for (std::size_t i = 0; i < b.size(); ++i) b[i].dropped = 10 + i;
+  std::ostringstream os;
+  write_merged_chrome_trace(os, a, b);
+  std::istringstream is(os.str());
+  const std::vector<trace::TrackView> merged = trace::parse_chrome_json(is);
+
+  std::map<std::uint64_t, std::vector<std::pair<char, int>>> flows;
+  for (const trace::TrackView& t : merged)
+    for (const trace::EventView& e : t.events)
+      if (e.ph == 's' || e.ph == 'f') flows[e.flow].push_back({e.ph, t.rank});
+  ASSERT_FALSE(flows.empty());
+  std::size_t per_run[2] = {0, 0};
+  for (const auto& [id, ends] : flows) {
+    ASSERT_EQ(ends.size(), 2u) << "flow 0x" << std::hex << id;
+    EXPECT_NE(ends[0].first, ends[1].first) << "flow 0x" << std::hex << id;
+    EXPECT_EQ(ends[0].second % 2, ends[1].second % 2)
+        << "flow 0x" << std::hex << id << " joins run A and run B";
+    ++per_run[ends[0].second % 2];
+  }
+  EXPECT_EQ(per_run[0], per_run[1]);
+
+  // Each track's drop count survives: run A on pid 2·rank, run B on
+  // pid 2·rank + 1.
+  std::map<std::pair<int, int>, std::uint64_t> dropped;
+  for (const trace::TrackView& t : merged) dropped[{t.rank, t.tid}] = t.dropped;
+  ASSERT_EQ(merged.size(), a.size() + b.size());
+  for (const trace::TrackView& t : a)
+    EXPECT_EQ((dropped[{2 * t.rank, t.tid}]), t.dropped);
+  for (const trace::TrackView& t : b)
+    EXPECT_EQ((dropped[{2 * t.rank + 1, t.tid}]), t.dropped);
 }
 
 // --- Acceptance: perturbed CloverLeaf pair -----------------------------------

@@ -245,12 +245,12 @@ TEST_F(LiveTest, StallFlagPrecedesWatchdog) {
   EXPECT_LT(first_flag, 0.6) << "stall flag later than the watchdog grace";
 
   // The offline classifier (what bwtop runs on a saved series) agrees.
-  const std::vector<core::StallFlag> flags = core::classify_stalls(
+  const std::vector<live::StallFlag> flags = live::classify_stalls(
       ts, static_cast<std::size_t>(cfg.stall_windows));
   ASSERT_EQ(flags.size(), 2u);
   EXPECT_EQ(flags[0].rank, 0);
   EXPECT_EQ(flags[1].rank, 1);
-  for (const core::StallFlag& f : flags)
+  for (const live::StallFlag& f : flags)
     EXPECT_GE(f.windows, static_cast<std::size_t>(cfg.stall_windows));
 }
 

@@ -476,21 +476,6 @@ TEST_P(TileSizes, TiledMatchesEagerBitwise) {
 INSTANTIATE_TEST_SUITE_P(Tiles, TileSizes,
                          ::testing::Values<idx_t>(3, 5, 8, 16, 40, 100));
 
-TEST(Tiling, UntiledChainAlsoMatches) {
-  Context e_ctx;
-  Chain eager(e_ctx, 8);
-  eager.run_loops();
-  const double ref = eager.checksum();
-
-  Context l_ctx;
-  Chain lazy(l_ctx, 8);
-  l_ctx.set_lazy(true);
-  lazy.run_loops();
-  l_ctx.set_lazy(false);
-  l_ctx.chain().execute_untiled();
-  EXPECT_DOUBLE_EQ(lazy.checksum(), ref);
-}
-
 TEST(Tiling, DistributedTiledMatchesSerialEager) {
   Context e_ctx;
   Chain eager(e_ctx, 8);
@@ -677,7 +662,7 @@ TEST(AutoTileHeight, RoundTripsIntoReportJson) {
   ctx.set_lazy(false);
   ctx.chain().execute_tiled(0);
   std::ostringstream os;
-  core::write_run_report_json(os, ctx.instr());
+  core::write_run_report_json(os, core::make_run_report(ctx.instr()));
   const std::string json = os.str();
   EXPECT_NE(json.find("\"tiling\""), std::string::npos);
   EXPECT_NE(json.find("\"auto_tuned\": true"), std::string::npos);

@@ -1,13 +1,16 @@
 // bwtrace tests: Chrome trace-event JSON schema validation (balanced B/E
 // pairs, monotonic per-track timestamps, expected span names from real
-// CloverLeaf 2D runs, distinct rank/worker tracks), drop handling, and
-// metrics JSON round-trips.
+// CloverLeaf 2D runs, distinct rank/worker tracks), drop handling, the
+// write -> parse_chrome_json -> write codec round trip, JSON escaping of
+// hostile names, and metrics JSON round-trips.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/cloverleaf/cloverleaf2d.hpp"
@@ -210,6 +213,84 @@ TEST(Trace, CloverTiledThreadedTrace) {
   EXPECT_GT(events_per_tid[1], 0) << "worker track missing";
 }
 
+// --- Codec round trips -------------------------------------------------------
+
+std::string rewrite(const std::string& json) {
+  std::istringstream is(json);
+  std::ostringstream os;
+  trace::write_chrome_json(os, {trace::parse_chrome_json(is)});
+  return os.str();
+}
+
+TEST(TraceCodec, LiveTwoRankCloverRoundTripIsBitwise) {
+  // The full buffer, then one small enough to drop events and leave
+  // begins open (closed by the writer): both rewrite to the same bytes.
+  for (const std::size_t cap : {std::size_t{1} << 20, std::size_t{64}}) {
+    trace::reset();
+    trace::enable(cap);
+    apps::Options opt;
+    opt.n = 24;
+    opt.iterations = 2;
+    opt.ranks = 2;
+    const apps::Result r = apps::clover2d::run(opt);
+    trace::disable();
+    ASSERT_NE(r.checksum, 0.0);
+    EXPECT_EQ(trace::dropped_events() > 0, cap == 64);
+
+    const std::string live = capture_trace();
+    std::istringstream is(live);
+    const std::vector<trace::TrackView> tracks = trace::parse_chrome_json(is);
+    std::map<std::pair<int, int>, std::uint64_t> dropped;
+    for (const trace::ThreadDrops& d : trace::dropped_by_thread())
+      dropped[{d.rank, d.tid}] = d.dropped;
+    ASSERT_EQ(tracks.size(), dropped.size());
+    for (const trace::TrackView& t : tracks)
+      EXPECT_EQ(t.dropped, (dropped[{t.rank, t.tid}]));
+    EXPECT_EQ(rewrite(live), live)
+        << "write -> parse_chrome_json -> write must be bitwise stable";
+  }
+  trace::reset();
+}
+
+TEST(TraceCodec, HostileNamesSurviveTraceAndReportRoundTrips) {
+  const std::string hostile = "loop \"q\" \\ tab\there";
+  const std::string sanitized = "loop \"q\" \\ tab_here";
+  trace::reset();
+  trace::enable();
+  std::thread([&] {
+    trace::set_thread_track(0, 1, hostile);
+    { trace::TraceSpan s(trace::Cat::Kernel, hostile); }
+    trace::counter(hostile, 2.5);
+  }).join();
+  trace::disable();
+  const std::string live = capture_trace();
+  std::istringstream is(live);
+  const std::vector<trace::TrackView> tracks = trace::parse_chrome_json(is);
+  ASSERT_EQ(tracks.size(), 1u);
+  EXPECT_EQ(tracks[0].label, sanitized);
+  ASSERT_EQ(tracks[0].events.size(), 3u);
+  EXPECT_EQ(tracks[0].events[0].name, sanitized);
+  EXPECT_EQ(tracks[0].events[2].name, sanitized);
+  EXPECT_EQ(tracks[0].events[2].value, 2.5);
+  EXPECT_EQ(rewrite(live), live);
+  trace::reset();
+
+  Instrumentation instr;
+  instr.loop(hostile).host_seconds = 0.25;
+  instr.exchange(hostile).exchanges = 3;
+  std::ostringstream first;
+  core::write_run_report_json(first, core::make_run_report(instr));
+  std::istringstream in(first.str());
+  const core::RunReport parsed = core::parse_run_report(in);
+  ASSERT_EQ(parsed.loops.size(), 1u);
+  EXPECT_EQ(parsed.loops[0].name, sanitized);
+  ASSERT_EQ(parsed.exchanges.size(), 1u);
+  EXPECT_EQ(parsed.exchanges[0].dat, sanitized);
+  std::ostringstream second;
+  core::write_run_report_json(second, parsed);
+  EXPECT_EQ(first.str(), second.str());
+}
+
 // --- Metrics -----------------------------------------------------------------
 
 TEST(Metrics, CounterGaugeHistogramRoundTrip) {
@@ -273,7 +354,8 @@ TEST(Report, RunReportJsonContainsLoopsAndExchanges) {
   e.messages = 8;
   e.bytes = 4096;
   std::ostringstream os;
-  core::write_run_report_json(os, instr, &MetricsRegistry::global());
+  core::write_run_report_json(
+      os, core::make_run_report(instr, &MetricsRegistry::global()));
   const std::string json = os.str();
   EXPECT_NE(json.find("\"name\": \"alpha\""), std::string::npos);
   EXPECT_NE(json.find("\"dat\": \"density\""), std::string::npos);

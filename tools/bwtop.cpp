@@ -44,7 +44,7 @@ void render(const live::TimeSeriesFile& f, std::size_t windows) {
               << " events (timeline truncated — raise --trace-buffer)\n";
   const std::string table = core::live_rank_table(ts, windows);
   if (!table.empty()) std::cout << table;
-  for (const core::StallFlag& s : core::classify_stalls(ts, windows))
+  for (const live::StallFlag& s : live::classify_stalls(ts, windows))
     std::cout << "  rank " << s.rank << " STALLING: no progress for "
               << s.windows << " windows (since t=" << s.since_s << " s)\n";
 }

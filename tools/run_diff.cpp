@@ -35,7 +35,7 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
-#include "core/causal.hpp"
+#include "common/trace.hpp"
 #include "core/diff.hpp"
 #include "core/report.hpp"
 
@@ -64,7 +64,7 @@ std::vector<core::RunReport> load_side(const std::string& primary,
 std::vector<trace::TrackView> load_trace(const std::string& path) {
   std::ifstream is(path);
   BWLAB_REQUIRE(is.good(), "cannot open trace '" << path << "'");
-  return core::causal::parse_chrome_trace(is);
+  return trace::parse_chrome_json(is);
 }
 
 /// |sum of parts - total| within 1% of max(|total|, 1 us): the parts are

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::vector<trace::TrackView> tracks =
-      core::causal::parse_chrome_trace(is);
+      trace::parse_chrome_json(is);
   if (tracks.empty()) {
     std::cerr << "trace_analyze: no trace events in '" << path << "'\n";
     return 1;
